@@ -25,7 +25,7 @@ from repro.client.errors import (
     TransportRejectedError,
     UaClientError,
 )
-from repro.secure.channel import ClientSecureChannel
+from repro.secure.channel import ClientSecureChannel, SecureChannelError
 from repro.secure.negotiation import ChannelSecurity
 from repro.transport.connection import FrameReader, encode_frame
 from repro.transport.messages import (
@@ -188,7 +188,12 @@ class UaClient:
         )
         self._stream.write(channel.build_open_request(request))
         _, body = self._expect(MessageType.OPEN_CHANNEL)
-        response = channel.handle_open_response(body)
+        try:
+            response = channel.handle_open_response(body)
+        except SecureChannelError as exc:
+            # A reply that fails its security checks is the peer's
+            # protocol fault, recorded like any other.
+            raise UaClientError(str(exc)) from exc
         self._channel = channel
         self._security = security
         return response
@@ -201,7 +206,10 @@ class UaClient:
         request_id = self._next_request_id()
         self._stream.write(self._channel.encode_message(request, request_id))
         _, body = self._expect(MessageType.MESSAGE)
-        response, response_id = self._channel.decode_message(body)
+        try:
+            response, response_id = self._channel.decode_message(body)
+        except SecureChannelError as exc:
+            raise UaClientError(str(exc)) from exc
         if response_id != request_id:
             raise UaClientError(
                 f"response id {response_id} does not match request {request_id}"

@@ -178,6 +178,12 @@ class _ChannelBase:
                 raise SecureChannelError("symmetric keys not derived yet")
             sig_len = self.policy.signature_length
             if self.mode == MessageSecurityMode.SIGN_AND_ENCRYPT:
+                block = self.policy.sym_block_size
+                if len(rest) % block or len(rest) < block + sig_len:
+                    raise SecureChannelError(
+                        f"encrypted chunk of {len(rest)} bytes is not whole "
+                        f"{block}-byte blocks holding a signature"
+                    )
                 decrypted = crypto_suite.sym_decrypt(self.policy, keys, rest)
                 signature = decrypted[-sig_len:]
                 signed_part = decrypted[:-sig_len]
@@ -192,6 +198,8 @@ class _ChannelBase:
                 ):
                     raise SecureChannelError("bad symmetric signature")
                 padding_size = signed_part[-1]
+                if padding_size + 1 > len(signed_part):
+                    raise SecureChannelError("invalid symmetric padding")
                 plain = signed_part[: len(signed_part) - padding_size - 1]
             else:  # SIGN
                 signature = rest[-sig_len:]

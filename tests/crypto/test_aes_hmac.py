@@ -1,5 +1,6 @@
 import hashlib
 import hmac as std_hmac
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +8,22 @@ from hypothesis import given, strategies as st
 from repro.crypto.aes import AesCbc, AesCipher
 from repro.crypto.hashes import get_hash, hash_bytes
 from repro.crypto.hmac_prf import hmac_digest, p_hash
+
+
+FIPS_197_PLAINTEXT = "00112233445566778899aabbccddeeff"
+
+#: FIPS-197 appendix C.1-C.3: (key, ciphertext of FIPS_197_PLAINTEXT).
+FIPS_197_APPENDIX_C = [
+    ("000102030405060708090a0b0c0d0e0f", "69c4e0d86a7b0430d8cdb78070b4c55a"),
+    (
+        "000102030405060708090a0b0c0d0e0f1011121314151617",
+        "dda97ca4864cdfe06eaf70a0ec0d7191",
+    ),
+    (
+        "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
+        "8ea2b7ca516745bfeafc49904b496089",
+    ),
+]
 
 
 class TestAesKnownAnswers:
@@ -41,6 +58,18 @@ class TestAesKnownAnswers:
             "00112233445566778899aabbccddeeff"
         )
 
+    @pytest.mark.parametrize("direction", ["encrypt", "decrypt"])
+    @pytest.mark.parametrize(
+        "key_hex,cipher_hex", FIPS_197_APPENDIX_C, ids=["C.1", "C.2", "C.3"]
+    )
+    def test_fips_vectors_both_directions(self, key_hex, cipher_hex, direction):
+        cipher = AesCipher(bytes.fromhex(key_hex))
+        plain = bytes.fromhex(FIPS_197_PLAINTEXT)
+        if direction == "encrypt":
+            assert cipher.encrypt_block(plain) == bytes.fromhex(cipher_hex)
+        else:
+            assert cipher.decrypt_block(bytes.fromhex(cipher_hex)) == plain
+
     def test_invalid_key_length_rejected(self):
         with pytest.raises(ValueError):
             AesCipher(b"short")
@@ -48,6 +77,10 @@ class TestAesKnownAnswers:
     def test_invalid_block_rejected(self):
         with pytest.raises(ValueError):
             AesCipher(b"k" * 16).encrypt_block(b"x" * 15)
+
+    def test_invalid_block_rejected_on_decrypt(self):
+        with pytest.raises(ValueError):
+            AesCipher(b"k" * 16).decrypt_block(b"x" * 17)
 
 
 class TestAesCbc:
@@ -59,6 +92,10 @@ class TestAesCbc:
     def test_unaligned_input_rejected(self):
         with pytest.raises(ValueError):
             AesCbc(b"k" * 16, b"i" * 16).encrypt(b"short")
+
+    def test_unaligned_input_rejected_on_decrypt(self):
+        with pytest.raises(ValueError):
+            AesCbc(b"k" * 16, b"i" * 16).decrypt(b"x" * 31)
 
     def test_bad_iv_rejected(self):
         with pytest.raises(ValueError):
@@ -79,6 +116,24 @@ class TestAesCbc:
         enc = Cipher(algorithms.AES(key), modes.CBC(iv)).encryptor()
         theirs = enc.update(plaintext) + enc.finalize()
         assert ours == theirs
+
+    # Sweep traffic averages about 1.4 KB per CBC call; 512 blocks
+    # (8 KiB) covers the largest service replies.
+    @pytest.mark.parametrize("direction", ["encrypt", "decrypt"])
+    @pytest.mark.parametrize("blocks", [1, 2, 5, 90, 512])
+    @pytest.mark.parametrize("key_bits", [128, 192, 256])
+    def test_cbc_matches_cryptography(self, key_bits, blocks, direction):
+        from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
+        rng = random.Random(f"aes-cbc-{key_bits}-{blocks}")
+        key, iv = rng.randbytes(key_bits // 8), rng.randbytes(16)
+        plaintext = rng.randbytes(16 * blocks)
+        enc = Cipher(algorithms.AES(key), modes.CBC(iv)).encryptor()
+        ciphertext = enc.update(plaintext) + enc.finalize()
+        if direction == "encrypt":
+            assert AesCbc(key, iv).encrypt(plaintext) == ciphertext
+        else:
+            assert AesCbc(key, iv).decrypt(ciphertext) == plaintext
 
     @given(st.binary(min_size=16, max_size=64).filter(lambda b: len(b) % 16 == 0))
     def test_round_trip_property(self, plaintext):

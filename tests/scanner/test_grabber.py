@@ -16,7 +16,7 @@ from repro.util.rng import DeterministicRng
 from repro.util.simtime import SimClock, parse_utc
 from repro.x509.builder import make_self_signed
 
-from tests.server.helpers import build_server
+from tests.server.helpers import build_server, cut_last_byte
 
 
 class JunkService:
@@ -33,6 +33,32 @@ class SilentService:
 
     def receive(self, data: bytes) -> bytes:
         return b""
+
+
+def flip_last_byte(frame: bytes) -> bytes:
+    return frame[:-1] + bytes([frame[-1] ^ 0xFF])
+
+
+class CorruptedSecureReplies:
+    """A server connection whose MSG replies arrive corrupted once a
+    secure (non-None policy) channel is open on it."""
+
+    def __init__(self, connection, corrupt):
+        self._connection = connection
+        self._corrupt = corrupt
+        self._secure = False
+
+    @property
+    def closed(self):
+        return self._connection.closed
+
+    def receive(self, data: bytes) -> bytes:
+        reply = self._connection.receive(data)
+        if data[:3] == b"OPN":
+            self._secure = b"SecurityPolicy#None" not in data
+        elif self._secure and reply[:3] == b"MSG":
+            reply = self._corrupt(reply)
+        return reply
 
 
 @pytest.fixture()
@@ -388,6 +414,41 @@ class TestErrorTruthfulness:
         # Two sessions were opened (anonymous attempt + negotiated
         # re-grab) and both must be closed.
         assert closes == [True, True]
+
+    @pytest.mark.parametrize(
+        "corrupt", [cut_last_byte, flip_last_byte], ids=["short", "flipped"]
+    )
+    def test_corrupted_encrypted_reply_recorded_not_raised(
+        self, corrupt, scanner_identity, scan_rng, rsa_2048
+    ):
+        """A SignAndEncrypt reply that fails its security checks is the
+        host's protocol fault: the grab records it and returns."""
+        server = build_server(
+            scan_rng.substream("corrupt"),
+            rsa_2048,
+            endpoint_configs=[
+                EndpointConfig(
+                    MessageSecurityMode.SIGN_AND_ENCRYPT, POLICY_BASIC256SHA256
+                )
+            ],
+            token_types=[UserTokenType.ANONYMOUS],
+        )
+        net = SimNetwork(SimClock(parse_utc("2020-08-30")))
+        host = SimHost(address=parse_ipv4("10.0.0.9"), asn=64500)
+        host.listen(
+            4840,
+            lambda: CorruptedSecureReplies(server.new_connection(), corrupt),
+        )
+        net.add_host(host)
+        record = grab_host(
+            net, parse_ipv4("10.0.0.9"), 4840, scanner_identity, scan_rng
+        )
+        assert record.is_opcua
+        assert record.secure_channel.success  # the OPN itself is intact
+        assert not record.session.success
+        assert record.session.error_category == "protocol"
+        assert record.session.negotiation_error == "protocol"
+        assert record.session.negotiated_policy_uri is None
 
     def test_sparse_fields_omitted_from_canonical_json(
         self, network, scanner_identity, scan_rng

@@ -1,7 +1,10 @@
 """Client/server secure-channel interop across every policy and mode."""
 
+import struct
+
 import pytest
 
+from repro.secure import crypto_suite
 from repro.secure.channel import (
     ClientSecureChannel,
     SecureChannelError,
@@ -9,6 +12,7 @@ from repro.secure.channel import (
     decode_service,
     encode_service,
 )
+from repro.secure.keysets import derive_channel_keys
 from repro.secure.policies import (
     ALL_POLICIES,
     POLICY_BASIC128RSA15,
@@ -170,10 +174,11 @@ class TestMessageExchange:
             client.encode_message(GetEndpointsRequest(), request_id=1)
         )
         frame[HEADER_SIZE + 12] ^= 0x01
-        with pytest.raises((SecureChannelError, Exception)):
+        with pytest.raises(SecureChannelError):
             server.decode_message(bytes(frame[HEADER_SIZE:]))
 
-    def test_tampered_encrypted_frame_rejected(self, channel_certs):
+    @pytest.mark.parametrize("tamper", ["flip-last-byte", "one-byte-short"])
+    def test_tampered_encrypted_frame_rejected(self, tamper, channel_certs):
         client, server = handshake(
             POLICY_BASIC128RSA15,
             MessageSecurityMode.SIGN_AND_ENCRYPT,
@@ -182,9 +187,38 @@ class TestMessageExchange:
         frame = bytearray(
             client.encode_message(GetEndpointsRequest(), request_id=1)
         )
-        frame[-1] ^= 0xFF
-        with pytest.raises(Exception):
+        if tamper == "flip-last-byte":
+            frame[-1] ^= 0xFF
+        else:
+            del frame[-1]
+        with pytest.raises(SecureChannelError):
             server.decode_message(bytes(frame[HEADER_SIZE:]))
+
+    def test_encrypted_padding_overrun_rejected(self, channel_certs):
+        """A correctly signed chunk whose padding byte claims more bytes
+        than the chunk holds is rejected, not sliced into garbage."""
+        policy = POLICY_BASIC256SHA256
+        client, server = handshake(
+            policy, MessageSecurityMode.SIGN_AND_ENCRYPT, channel_certs
+        )
+        client_keys, _ = derive_channel_keys(
+            policy, client.client_nonce, server.server_nonce
+        )
+        prefix = struct.pack("<II", server.channel_id, server.token_id)
+        # Sequence header, filler, then a padding byte of 255.
+        signed_part = bytes(8) + bytes(23) + b"\xff"
+        encrypted_len = len(signed_part) + policy.signature_length
+        header = b"MSGF" + struct.pack(
+            "<I", HEADER_SIZE + len(prefix) + encrypted_len
+        )
+        signature = crypto_suite.sym_sign(
+            policy, client_keys, header + prefix + signed_part
+        )
+        body = prefix + crypto_suite.sym_encrypt(
+            policy, client_keys, signed_part + signature
+        )
+        with pytest.raises(SecureChannelError, match="padding"):
+            server.decode_message(body)
 
     def test_wrong_channel_id_rejected(self, channel_certs):
         client, server = handshake(

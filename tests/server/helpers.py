@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 from repro.client import ClientIdentity, UaClient
 from repro.secure.negotiation import ChannelSecurity
 from repro.secure.policies import POLICY_BASIC256SHA256, POLICY_NONE
@@ -39,6 +41,11 @@ class LoopbackStream:
         out = bytes(self._inbox)
         self._inbox.clear()
         return out
+
+
+def cut_last_byte(frame: bytes) -> bytes:
+    """Drop a frame's last byte and fix up its length field."""
+    return frame[:4] + struct.pack("<I", len(frame) - 1) + frame[8:-1]
 
 
 def demo_address_space() -> AddressSpace:

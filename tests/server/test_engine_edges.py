@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.client import ServiceFaultError
+from repro.client import ServiceFaultError, TransportRejectedError, UaClient
 from repro.secure.policies import POLICY_BASIC256SHA256, POLICY_NONE
 from repro.server import EndpointConfig
 from repro.uabin.enums import MessageSecurityMode, UserTokenType
@@ -10,7 +10,13 @@ from repro.uabin.nodeid import NodeId
 from repro.uabin.statuscodes import StatusCodes
 from repro.util.rng import DeterministicRng
 
-from tests.server.helpers import build_client, build_server, secure_open
+from tests.server.helpers import (
+    LoopbackStream,
+    build_client,
+    build_server,
+    cut_last_byte,
+    secure_open,
+)
 
 DEMO_NS = 1
 
@@ -236,3 +242,34 @@ class TestMalformedTraffic:
             encode_frame(MessageType.MESSAGE, "F", b"\x00" * 16)
         )
         assert out.startswith(b"ERR")
+
+    def test_short_encrypted_msg_answered_with_security_error(
+        self, erng, rsa_2048, rsa_1024
+    ):
+        """A SignAndEncrypt chunk one byte short of whole cipher blocks
+        gets a truthful ERR frame instead of crashing the connection."""
+
+        class ShortMessages(LoopbackStream):
+            def write(self, data: bytes) -> None:
+                if data[:3] == b"MSG":
+                    data = cut_last_byte(data)
+                super().write(data)
+
+        server = build_server(erng, rsa_2048)
+        identity = build_client(server, erng.substream("c"), rsa_1024).identity
+        client = UaClient(
+            ShortMessages(server),
+            identity,
+            erng.substream("short"),
+            endpoint_url="opc.tcp://10.0.0.1:4840/",
+        )
+        client.hello()
+        secure_open(
+            client,
+            POLICY_BASIC256SHA256,
+            MessageSecurityMode.SIGN_AND_ENCRYPT,
+            server.config.certificate.raw_der,
+        )
+        with pytest.raises(TransportRejectedError) as excinfo:
+            client.get_endpoints()
+        assert excinfo.value.status == StatusCodes.BadSecurityChecksFailed
