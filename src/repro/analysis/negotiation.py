@@ -4,9 +4,9 @@ Advertising a ``(policy, mode)`` endpoint and actually *completing* a
 secure channel at it are different observations: a server may list
 Basic256Sha256 endpoints yet abort every handshake against an
 untrusted client certificate.  This analysis compares the two using
-the scanner's negotiated re-grab — for every server with a secure
-endpoint, did the strongest advertised pair complete, and if not,
-why not.
+the secure channel each grab opens at the strongest advertised pair —
+for every server with a secure endpoint, did that pair complete, and
+if not, why not.
 """
 
 from __future__ import annotations
@@ -21,16 +21,16 @@ from repro.uabin.enums import MessageSecurityMode
 
 @dataclass
 class NegotiationStatistics:
-    """Outcome counts of the negotiated secure re-grab."""
+    """Outcome counts of the secure-channel negotiation."""
 
     total_servers: int = 0
     #: servers advertising only None endpoints (nothing to negotiate)
     none_only: int = 0
-    #: servers where the re-grab completed a secure channel
+    #: servers where the scanner completed a secure channel
     negotiated: int = 0
     #: servers where negotiation failed (error recorded)
     failed: int = 0
-    #: servers whose re-grab was not recorded at all (schema-old data)
+    #: servers whose negotiation was not recorded at all (schema-old data)
     unattempted: int = 0
     #: negotiated == strongest advertised (policy, mode) pair
     matched_best_advertised: int = 0
@@ -43,7 +43,7 @@ class NegotiationStatistics:
 
     @property
     def attempted(self) -> int:
-        """Servers whose re-grab ran (completed or failed)."""
+        """Servers whose negotiation ran (completed or failed)."""
         return self.negotiated + self.failed
 
 

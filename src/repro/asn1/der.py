@@ -306,10 +306,17 @@ def _encode_value(value) -> tuple[int, bytes]:
 def decode_der(data: bytes, allow_trailing: bool = False):
     """Decode one DER value from ``data``.
 
-    Raises :class:`Asn1Error` on trailing bytes unless ``allow_trailing``
-    is set, in which case the value and the consumed length are returned.
+    Malformed input raises :class:`Asn1Error` and nothing else.  So do
+    trailing bytes, unless ``allow_trailing`` is set, in which case the
+    value and the consumed length are returned.
     """
-    value, consumed = _decode_value(data, 0)
+    try:
+        value, consumed = _decode_value(data, 0)
+    except (ValueError, RecursionError) as exc:
+        # Text and time payloads go through codecs and strptime, which
+        # raise their own errors on bad bytes; absurdly deep nesting
+        # exhausts the interpreter's recursion limit.
+        raise Asn1Error(f"malformed DER value: {exc}") from exc
     if allow_trailing:
         return value, consumed
     if consumed != len(data):

@@ -43,7 +43,7 @@ from repro.uabin.builtin import LocalizedText
 from repro.uabin.nodeid import NodeId
 from repro.uabin.registry import make_extension_object
 from repro.uabin.statuscodes import lookup_status
-from repro.uabin.structs import RequestHeader
+from repro.uabin.structs import DecodingError, RequestHeader
 from repro.uabin.types_attribute import ReadRequest, ReadValueId
 from repro.uabin.types_channel import (
     CloseSecureChannelRequest,
@@ -60,7 +60,22 @@ from repro.uabin.types_session import (
     UserNameIdentityToken,
 )
 from repro.uabin.types_view import BrowseDescription, BrowseRequest
-from repro.x509.certificate import Certificate
+from repro.util.binary import NotEnoughData
+from repro.x509.certificate import Certificate, CertificateError
+
+#: What decoding a malformed reply raises, from an ACK body up to a
+#: protected service body (nesting, such as DiagnosticInfo chains, can
+#: exhaust the recursion limit).  Bad bytes are the peer's protocol
+#: fault: :meth:`UaClient._decode` turns each into a
+#: :class:`UaClientError`.
+_MALFORMED_REPLY = (
+    CertificateError,
+    DecodingError,
+    NotEnoughData,
+    RecursionError,
+    SecureChannelError,
+    ValueError,
+)
 
 
 @dataclass(frozen=True)
@@ -141,10 +156,20 @@ class UaClient:
                 raise ConnectionClosedError("no response from server")
             self._frames.feed(data)
 
+    @staticmethod
+    def _decode(decode, body):
+        """Run ``decode(body)`` on a reply; malformed bytes raise
+        :class:`UaClientError` (category ``protocol``) with the
+        decoder's own message."""
+        try:
+            return decode(body)
+        except _MALFORMED_REPLY as exc:
+            raise UaClientError(str(exc)) from exc
+
     def _expect(self, expected_type: MessageType):
         header, body = self._read_frame()
         if header.message_type == MessageType.ERROR:
-            error = ErrorMessage.decode_body(body)
+            error = self._decode(ErrorMessage.decode_body, body)
             raise TransportRejectedError(
                 lookup_status(error.error_code), error.reason
             )
@@ -164,7 +189,7 @@ class UaClient:
         )
         _, body = self._expect(MessageType.ACKNOWLEDGE)
         self.connected = True
-        return AcknowledgeMessage.decode_body(body)
+        return self._decode(AcknowledgeMessage.decode_body, body)
 
     def open_secure_channel(self, security: ChannelSecurity | None = None):
         """Open a secure channel with the negotiated ``security``.
@@ -188,12 +213,7 @@ class UaClient:
         )
         self._stream.write(channel.build_open_request(request))
         _, body = self._expect(MessageType.OPEN_CHANNEL)
-        try:
-            response = channel.handle_open_response(body)
-        except SecureChannelError as exc:
-            # A reply that fails its security checks is the peer's
-            # protocol fault, recorded like any other.
-            raise UaClientError(str(exc)) from exc
+        response = self._decode(channel.handle_open_response, body)
         self._channel = channel
         self._security = security
         return response
@@ -206,16 +226,22 @@ class UaClient:
         request_id = self._next_request_id()
         self._stream.write(self._channel.encode_message(request, request_id))
         _, body = self._expect(MessageType.MESSAGE)
-        try:
-            response, response_id = self._channel.decode_message(body)
-        except SecureChannelError as exc:
-            raise UaClientError(str(exc)) from exc
+        response, response_id = self._decode(
+            self._channel.decode_message, body
+        )
         if response_id != request_id:
             raise UaClientError(
                 f"response id {response_id} does not match request {request_id}"
             )
         if isinstance(response, ServiceFault):
             raise ServiceFaultError(response.response_header.service_result)
+        # Every service pairs ``XRequest`` with ``XResponse``; a reply of
+        # another type is the peer's fault, however well it decoded.
+        expected = type(request).__name__.replace("Request", "Response")
+        if type(response).__name__ != expected:
+            raise UaClientError(
+                f"expected {expected}, got {type(response).__name__}"
+            )
         return response
 
     # --- services ------------------------------------------------------------------

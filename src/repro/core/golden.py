@@ -44,7 +44,7 @@ TINY_SPEC_ROWS = 8
 TINY_BATCH_SIZE = 16
 
 #: Rows of the negotiated-security tiny study (52 servers).  Chosen so
-#: the secure re-grab exercises every outcome the population can
+#: the secure-channel negotiation exercises every outcome the population can
 #: express: completed channels at Basic128Rsa15, Basic256,
 #: Basic256Sha256, and Aes256_Sha256_RsaPss; Sign-only and
 #: Sign+SignAndEncrypt mode sets; strict servers that reject the
@@ -177,8 +177,8 @@ def run_tiny_secure_study(
 
     Same configuration knobs as :func:`run_tiny_study`, different
     population: every host advertises at least one Sign or
-    SignAndEncrypt endpoint, so each deep grab runs the secure
-    re-grab and records the ``negotiated_*`` session fields.
+    SignAndEncrypt endpoint, so each deep grab negotiates a secure
+    channel and records the ``negotiated_*`` session fields.
     """
     return Study(
         tiny_study_config(executor=executor, workers=workers, seed=seed),

@@ -108,8 +108,8 @@ class SpecRow:
     def best_advertised_pair(self):
         """Strongest secure ``(policy, mode)`` this row advertises.
 
-        This is, by construction, the pair the scanner's negotiated
-        re-grab targets: the deployment generator builds one endpoint
+        This is, by construction, the pair the scanner's secure channel
+        targets: the deployment generator builds one endpoint
         per (mode × non-None policy) cross product, so the strongest
         policy always pairs with the strongest secure mode.  Returns
         None for rows advertising only the None policy or only the
@@ -129,7 +129,7 @@ class SpecRow:
         )
 
     def expected_negotiation(self):
-        """Ground truth for the negotiated re-grab against this row.
+        """Ground truth for the scanner's negotiation against this row.
 
         Returns ``(policy_uri, mode, error)`` mirroring the sparse
         ``negotiated_*``/``negotiation_error`` record fields: all three

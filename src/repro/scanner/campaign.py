@@ -337,9 +337,9 @@ class LiveNetwork:
 
     def connect(self, address: int, port: int):
         # Pacing lives at the connection, not the grab: one grab opens
-        # up to four connections (discovery, secure-channel probe,
-        # session, negotiated re-grab), and every one of them must
-        # respect the global rate and the per-host interval.
+        # up to three connections (discovery, secure channel, session),
+        # and every one of them must respect the global rate and the
+        # per-host interval.
         if self._limiter is not None:
             self._limiter.acquire(address)
         host = format_endpoint_host(address)

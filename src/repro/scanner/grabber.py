@@ -1,21 +1,23 @@
 """Per-host OPC UA grab (the paper's zgrab2 OPC UA module).
 
-Sequence for each open port:
+Sequence for each open port, over three connections at most:
 
 1. TCP connect + HEL/ACK — failures mean "not OPC UA" (the paper saw
    OPC UA on only 0.5 ‰ of hosts with TCP/4840 open).
 2. None-policy discovery channel, GetEndpoints — yields the endpoint
    descriptions and the server certificate.
-3. Secure-channel probe: OpenSecureChannel on the *most secure*
-   offered (mode, policy) with our self-signed certificate — strict
-   servers reject it here (Table 2's "Secure Channel" column).
+3. Secure channel on a second connection: OpenSecureChannel on the
+   *most secure* offered (mode, policy) with our self-signed
+   certificate — strict servers reject it here (Table 2's "Secure
+   Channel" column) — then one protected GetEndpoints round trip on
+   the same channel, which records the negotiated ``(policy, mode)``,
+   or why negotiation failed, on the session attempt.
 4. Anonymous session attempt on the preferred anonymous endpoint.
 5. If accessible: namespace read, SoftwareVersion read, and the
    budgeted address-space traversal.
-6. Secure re-grab: complete a full Sign/SignAndEncrypt channel at the
-   best advertised pair and run one protected service round trip,
-   recording the negotiated ``(policy, mode)`` — or why negotiation
-   failed — on the session attempt.
+
+Every step catches the same :data:`PEER_FAILURES`; anything else is a
+bug in this repo (or a replay divergence) and propagates.
 """
 
 from __future__ import annotations
@@ -44,12 +46,22 @@ from repro.secure.negotiation import ChannelSecurity
 from repro.secure.policies import POLICY_NONE
 from repro.server.addressspace import NodeIds
 from repro.transport.messages import TransportError
-from repro.transport.replay import ReplayError
 from repro.uabin.enums import UserTokenType
-from repro.uabin.statuscodes import lookup_status
 from repro.util.ipaddr import format_endpoint_host
 from repro.util.rng import DeterministicRng
 from repro.util.simtime import format_utc
+
+#: How a peer, or the network path to it, makes a grab step fail:
+#: client-side protocol faults (every malformed reply included),
+#: framing violations and timeouts, refused or dead connections, and
+#: the ``OSError`` a live socket (or its replay) raises mid-stream.
+PEER_FAILURES = (
+    UaClientError,
+    TransportError,
+    ConnectionRefused,
+    HostDown,
+    OSError,
+)
 
 
 def grab_host(
@@ -100,13 +112,7 @@ def grab_host(
             client.hello()
             client.open_secure_channel()
             endpoints = client.get_endpoints()
-        except (UaClientError, Exception) as exc:
-            if isinstance(exc, ReplayError):
-                # Replay divergence is a harness failure (stale corpus
-                # or wrong replay configuration), never a scan
-                # observation — recording it as "not OPC UA" would
-                # fabricate a result the wire never produced.
-                raise
+        except PEER_FAILURES as exc:
             record.error = f"not OPC UA: {exc}"
             # A connection-level failure (timeout, reset) is not
             # evidence about the protocol; record the category so
@@ -135,21 +141,25 @@ def grab_host(
                 record.application_uri = own.application_uri
                 record.product_uri = own.product_uri
                 record.application_type = int(own.application_type)
-        except (UaClientError, TransportError):
+        except PEER_FAILURES:
             pass  # FindServers is optional; endpoint fallback stands
 
-        # Secure-channel probe with our self-signed certificate.
-        record.secure_channel = _probe_secure_channel(
+        # Secure channel with our self-signed certificate, used once.
+        probe, negotiation_error = _probe_secure_channel(
             network, address, port, identity, rng, record
         )
+        record.secure_channel = probe
 
-        # Anonymous session attempt.
-        record.session = _attempt_anonymous_session(
+        # Anonymous session attempt; it carries the negotiation outcome.
+        session = record.session = _attempt_anonymous_session(
             network, address, port, identity, rng, record, budget, traverse
         )
-
-        # Secure re-grab at the best advertised pair.
-        _negotiate_security(network, address, port, identity, rng, record)
+        if probe is not None:
+            if negotiation_error is None:
+                session.negotiated_policy_uri = probe.security_policy_uri
+                session.negotiated_mode = probe.security_mode
+            else:
+                session.negotiation_error = negotiation_error
 
         record.scan_duration_s = (
             network.clock.now() - start_time
@@ -184,55 +194,67 @@ def _fill_endpoint_records(record: HostRecord, endpoints) -> None:
 
 def _probe_secure_channel(
     network, address, port, identity, rng, record
-) -> SecureChannelAttempt | None:
+) -> tuple[SecureChannelAttempt | None, str | None]:
+    """Open a channel at the best advertised pair and use it once.
+
+    Returns the probe attempt — ``success`` means the server answered
+    the OpenSecureChannel — and why negotiation failed: the rejection's
+    status name or the probe's reason when the open failed, the failure
+    of the one protected round trip otherwise.  ``None`` means both the
+    open and the round trip succeeded, so the attempt's pair is the
+    negotiated one.  Closing the channel afterwards is best-effort and
+    changes neither outcome.
+    """
     choice = most_secure_endpoint(record.endpoints)
     if choice is None:
-        return None  # only None endpoints; nothing to probe
+        return None, None  # only None endpoints; nothing to probe
     endpoint, policy = choice
-    cert_der = (
-        bytes.fromhex(record.certificate.der_hex) if record.certificate else None
+    attempt = SecureChannelAttempt(
+        security_policy_uri=policy.uri,
+        security_mode=int(endpoint.mode),
+        success=False,
     )
-    if cert_der is None:
-        return SecureChannelAttempt(
-            security_policy_uri=policy.uri,
-            security_mode=int(endpoint.mode),
-            success=False,
-            error_reason="no server certificate available",
-        )
+    if record.certificate is None:
+        attempt.error_reason = "no server certificate available"
+        return attempt, attempt.error_reason
+    cert_der = bytes.fromhex(record.certificate.der_hex)
     socket = None
     try:
-        socket = network.connect(address, port)
-        client = UaClient(
-            socket,
-            identity,
-            rng.substream(f"sc-{address}-{port}"),
-            f"opc.tcp://{format_endpoint_host(address)}:{port}/",
-        )
-        client.hello()
-        client.open_secure_channel(
-            ChannelSecurity.for_endpoint(policy, endpoint.mode, identity, cert_der)
-        )
-        client.close()
-        return SecureChannelAttempt(
-            security_policy_uri=policy.uri,
-            security_mode=int(endpoint.mode),
-            success=True,
-        )
-    except TransportRejectedError as exc:
-        return SecureChannelAttempt(
-            security_policy_uri=policy.uri,
-            security_mode=int(endpoint.mode),
-            success=False,
-            error_status=exc.status.value,
-            error_reason=exc.reason,
-        )
-    except (UaClientError, TransportError, ConnectionRefused, HostDown) as exc:
-        return SecureChannelAttempt(
-            security_policy_uri=policy.uri,
-            security_mode=int(endpoint.mode),
-            success=False,
-            error_reason=str(exc),
-        )
+        try:
+            socket = network.connect(address, port)
+            client = UaClient(
+                socket,
+                identity,
+                rng.substream(f"sc-{address}-{port}"),
+                f"opc.tcp://{format_endpoint_host(address)}:{port}/",
+            )
+            client.hello()
+            client.open_secure_channel(
+                ChannelSecurity.for_endpoint(
+                    policy, endpoint.mode, identity, cert_der
+                )
+            )
+        except TransportRejectedError as exc:
+            attempt.error_status = exc.status.value
+            attempt.error_reason = exc.reason
+            return attempt, exc.status.name
+        except PEER_FAILURES as exc:
+            attempt.error_reason = str(exc)
+            return attempt, attempt.error_reason
+        attempt.success = True
+        try:
+            # One protected round trip proves both symmetric keysets
+            # agree.
+            client.get_endpoints()
+        except TransportRejectedError as exc:
+            return attempt, exc.status.name
+        except PEER_FAILURES as exc:
+            return attempt, categorize_error(exc)
+        try:
+            client.close()
+        except PEER_FAILURES:
+            pass
+        return attempt, None
     finally:
         _close_quietly(socket)
 
@@ -304,12 +326,7 @@ def _attempt_anonymous_session(
             attempt.error_status = exc.status.value
             attempt.error_category = exc.category
             return attempt
-        except (
-            UaClientError,
-            TransportError,
-            ConnectionRefused,
-            HostDown,
-        ) as exc:
+        except PEER_FAILURES as exc:
             # Connection-level failure: there is no status code, but
             # "timed out" and "connection refused" are different facts
             # — record which one instead of a bare None.
@@ -325,84 +342,14 @@ def _attempt_anonymous_session(
             _collect_session_details(
                 client, network, record, budget, socket, traverse
             )
-        except (UaClientError, TransportError) as exc:
+        except PEER_FAILURES as exc:
             attempt.details_error = f"{categorize_error(exc)}: {exc}"
         finally:
             try:
                 client.close_session()
-            except (UaClientError, TransportError, ConnectionRefused):
+            except PEER_FAILURES:
                 pass  # best-effort: the transport may already be gone
         return attempt
-    finally:
-        _close_quietly(socket)
-
-
-def _negotiate_security(network, address, port, identity, rng, record) -> None:
-    """Secure re-grab: complete a channel at the best advertised pair.
-
-    The probe (step 3) only proves the server *answers* an
-    OpenSecureChannel; this step completes the negotiation — nonce
-    exchange, key derivation, and one protected service round trip —
-    and records the ``(policy, mode)`` pair that actually worked on
-    the session attempt.  When the probe already failed, its error is
-    the negotiation outcome (re-connecting would only repeat the same
-    channel-level rejection), so no extra connection is opened.
-    """
-    choice = most_secure_endpoint(record.endpoints)
-    if choice is None:
-        return  # only None endpoints: nothing to negotiate
-    endpoint, policy = choice
-    session = record.session
-    if session is None:
-        return
-    probe = record.secure_channel
-    if probe is not None and not probe.success:
-        if probe.error_status is not None:
-            session.negotiation_error = lookup_status(probe.error_status).name
-        else:
-            session.negotiation_error = probe.error_reason
-        return
-    cert_der = (
-        bytes.fromhex(record.certificate.der_hex) if record.certificate else None
-    )
-    if cert_der is None:
-        session.negotiation_error = "no server certificate available"
-        return
-    socket = None
-    client = None
-    try:
-        socket = network.connect(address, port)
-        client = UaClient(
-            socket,
-            identity,
-            rng.substream(f"negotiate-{address}-{port}"),
-            f"opc.tcp://{format_endpoint_host(address)}:{port}/",
-        )
-        client.hello()
-        client.open_secure_channel(
-            ChannelSecurity.for_endpoint(policy, endpoint.mode, identity, cert_der)
-        )
-        # One protected round trip proves both symmetric keysets agree.
-        client.get_endpoints()
-        session.negotiated_policy_uri = policy.uri
-        session.negotiated_mode = int(endpoint.mode)
-    except TransportRejectedError as exc:
-        session.negotiation_error = exc.status.name
-    except (UaClientError, TransportError, ConnectionRefused, HostDown) as exc:
-        session.negotiation_error = categorize_error(exc)
-    else:
-        # Channel proven; exercising a session over it (signature
-        # proofs both ways) is best-effort — an authentication
-        # rejection here is the session attempt's story, not a
-        # negotiation failure.
-        try:
-            if UserTokenType.ANONYMOUS in endpoint.token_type_set():
-                client.create_session()
-                client.activate_session()
-                client.close_session()
-            client.close()
-        except (UaClientError, TransportError):
-            pass
     finally:
         _close_quietly(socket)
 

@@ -1,9 +1,9 @@
-"""Endpoint ranking shared by the scanner's probe/session/negotiation steps.
+"""Endpoint ranking shared by the scanner's secure-channel and session steps.
 
-The grab sequence picks endpoints from the advertised list three
-times — the strongest pair for the secure-channel probe and the
-negotiated re-grab, the weakest anonymous one for the session attempt
-— and every caller must rank identically for records to stay pure
+The grab sequence picks endpoints from the advertised list twice —
+the strongest pair for the secure channel (probe and negotiation), the
+weakest anonymous one for the session attempt — and every caller,
+analyses included, must rank identically for records to stay pure
 functions of the endpoint list.  The ordering key is
 ``(policy.security_rank, mode.security_rank)``: policy strength
 dominates, mode breaks ties, and among equal pairs the first

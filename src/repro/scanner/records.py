@@ -108,11 +108,12 @@ class SessionAttempt:
     traversal failed afterwards.
 
     ``negotiated_policy_uri``/``negotiated_mode`` record the secure
-    re-grab: the ``(policy, mode)`` pair the scanner *completed* a
-    secure channel at (always the strongest advertised pair), with
-    ``negotiation_error`` holding the status name or failure category
-    when the handshake did not complete.  Hosts advertising only
-    None endpoints leave all three unset.
+    channel the grab opened at the strongest advertised pair: set when
+    its OpenSecureChannel and one protected round trip on it both
+    succeeded.  Otherwise ``negotiation_error`` holds why — the
+    rejection's status name or the probe's failure reason when the
+    open failed, the failure category when the round trip did.  Hosts
+    advertising only None endpoints leave all three unset.
 
     All five are sparse fields: they are omitted from the canonical
     JSON when unset, so records from hosts that never reach them keep

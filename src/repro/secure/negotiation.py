@@ -6,10 +6,9 @@ private key that sign the OpenSecureChannel chunk and the session
 nonce proofs, and the peer certificate that encrypts toward the
 remote side.  :class:`~repro.client.client.UaClient` threads one
 :class:`ChannelSecurity` through OpenSecureChannel → CreateSession →
-ActivateSession, and the scanner's secure re-grab builds one per
-advertised endpoint — replacing the implicit None-only paths that
-previously hard-wired ``policy=None`` everywhere above the framing
-layer.
+ActivateSession, and the scanner builds one per endpoint it connects
+to — replacing the implicit None-only paths that previously hard-wired
+``policy=None`` everywhere above the framing layer.
 
 The module also owns the signature-algorithm URI table and the
 nonce-proof sign/verify helpers that the client and the server engine

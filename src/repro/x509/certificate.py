@@ -76,7 +76,10 @@ def _spki_to_public_key(spki: der.Sequence) -> RsaPublicKey:
         )
     bit_string = spki[1]
     rsa_key = der.decode_der(bit_string.data)
-    return RsaPublicKey(n=rsa_key[0], e=rsa_key[1])
+    n, e = rsa_key[0], rsa_key[1]
+    if type(n) is not int or type(e) is not int:
+        raise CertificateError("RSA public key fields must be INTEGERs")
+    return RsaPublicKey(n=n, e=e)
 
 
 def _signature_algorithm(hash_name: str) -> der.Sequence:
@@ -182,15 +185,19 @@ def _parse_certificate(raw_der: bytes) -> Certificate:
     if not isinstance(sig_bits, der.BitString):
         raise CertificateError("signature must be a BIT STRING")
 
-    sig_oid = sig_alg[0].dotted
-    hash_name = oids.SIGNATURE_HASHES.get(sig_oid)
-    if hash_name is None:
-        raise CertificateError(f"unsupported signature algorithm: {sig_oid}")
-
-    # Recover the exact TBS bytes for signature verification.
-    tbs_der = _extract_first_tlv(raw_der)
-
+    # A peer can put any DER value in any position, so reading a field
+    # of the wrong shape is malformed input, reported as such.
     try:
+        sig_oid = sig_alg[0].dotted
+        hash_name = oids.SIGNATURE_HASHES.get(sig_oid)
+        if hash_name is None:
+            raise CertificateError(
+                f"unsupported signature algorithm: {sig_oid}"
+            )
+
+        # Recover the exact TBS bytes for signature verification.
+        tbs_der = _extract_first_tlv(raw_der)
+
         fields = list(tbs)
         index = 0
         if isinstance(fields[0], der.ContextTag) and fields[0].number == 0:
@@ -213,10 +220,14 @@ def _parse_certificate(raw_der: bytes) -> Certificate:
         for field_value in fields[index + 6 :]:
             if isinstance(field_value, der.ContextTag) and field_value.number == 3:
                 application_uri, is_ca = _parse_extensions(field_value.inner)
-    except (ValueError, IndexError, TypeError, AttributeError) as exc:
-        if isinstance(exc, CertificateError):
-            raise
-        raise CertificateError(f"malformed TBSCertificate: {exc}") from exc
+    except (
+        der.Asn1Error,
+        ValueError,
+        IndexError,
+        TypeError,
+        AttributeError,
+    ) as exc:
+        raise CertificateError(f"malformed certificate: {exc}") from exc
 
     return Certificate(
         serial_number=serial,

@@ -3,7 +3,7 @@
 The tiny study (``tiny_study.digest.json``) is deliberately None-only,
 so nothing in it exercises Sign/SignAndEncrypt negotiation.  This
 suite pins the complementary population: every host advertises a
-secure endpoint, every deep grab runs the secure re-grab, and the
+secure endpoint, every deep grab negotiates a secure channel, and the
 ``negotiated_*`` session fields land in the canonical record bytes —
 identically across all four executor backends.
 """

@@ -1,6 +1,10 @@
 """Scanner tests against real servers on the simulated network."""
 
+import json
+import struct
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.client import ClientIdentity
 from repro.netsim.net import SimHost, SimNetwork
@@ -8,9 +12,13 @@ from repro.scanner.campaign import ScanCampaign, ScannerIdentity, parse_endpoint
 from repro.scanner.grabber import grab_host
 from repro.scanner.limits import TraversalBudget
 from repro.scanner.records import HostRecord
-from repro.secure.policies import POLICY_BASIC256SHA256
+from repro.secure.policies import POLICY_BASIC256SHA256, POLICY_NONE
 from repro.server import EndpointConfig, ServerBehavior
+from repro.transport.messages import TransportError
 from repro.uabin.enums import MessageSecurityMode, UserTokenType
+from repro.uabin.registry import encode_body_nodeid
+from repro.uabin.types_attribute import ReadResponse
+from repro.uabin.types_session import CloseSessionResponse
 from repro.util.ipaddr import parse_ipv4
 from repro.util.rng import DeterministicRng
 from repro.util.simtime import SimClock, parse_utc
@@ -59,6 +67,78 @@ class CorruptedSecureReplies:
         elif self._secure and reply[:3] == b"MSG":
             reply = self._corrupt(reply)
         return reply
+
+
+#: A None-policy MSG chunk carries its service body in the clear after
+#: the 8-byte header, channel and token ids, sequence number and
+#: request id; the body opens with the type id.
+_BODY_AT = 24
+_READ_RESPONSE_ID = encode_body_nodeid(ReadResponse).to_bytes()
+_READ_RESPONSE_AT = _BODY_AT + len(_READ_RESPONSE_ID)
+
+
+class TamperedReadResponses:
+    """A server connection that passes every ReadResponse frame through
+    ``tamper`` (None-policy channels only, where the body sits in the
+    clear)."""
+
+    def __init__(self, connection, tamper):
+        self._connection = connection
+        self._tamper = tamper
+
+    @property
+    def closed(self):
+        return self._connection.closed
+
+    def receive(self, data: bytes) -> bytes:
+        reply = self._connection.receive(data)
+        if (
+            reply[:3] == b"MSG"
+            and reply[_BODY_AT:_READ_RESPONSE_AT] == _READ_RESPONSE_ID
+        ):
+            reply = self._tamper(reply)
+        return reply
+
+
+def xor_byte(offset, mask=0xA5):
+    """XOR the byte ``offset`` bytes past the type id with ``mask``."""
+
+    def tamper(frame):
+        at = _READ_RESPONSE_AT + offset
+        if at >= len(frame):
+            return frame
+        return frame[:at] + bytes([frame[at] ^ mask]) + frame[at + 1 :]
+
+    return tamper
+
+
+def nest_diagnostics(depth):
+    """Nest the response header's service diagnostics ``depth`` deep
+    (each 0x40 mask byte announces one more inner DiagnosticInfo)."""
+
+    def tamper(frame):
+        at = _READ_RESPONSE_AT + 16  # past timestamp, handle and result
+        body = frame[8:at] + b"\x40" * depth + frame[at:]
+        return frame[:4] + struct.pack("<I", 8 + len(body)) + body
+
+    return tamper
+
+
+def retype(cls):
+    """Relabel the reply as a ``cls`` (same type-id length), whose
+    fields its body still decodes as."""
+    type_id = encode_body_nodeid(cls).to_bytes()
+    assert len(type_id) == len(_READ_RESPONSE_ID)
+
+    def tamper(frame):
+        return frame[:_BODY_AT] + type_id + frame[_READ_RESPONSE_AT:]
+
+    return tamper
+
+
+#: Offset of the first byte of the first namespace URI in the grab's
+#: ReadResponse: XORed with 0xA5 it is no longer UTF-8.
+_NAMESPACE_URI_OFFSET = 38
 
 
 @pytest.fixture()
@@ -344,6 +424,67 @@ class TestErrorTruthfulness:
         assert record.session.error_status is None
         assert record.session.error_category == "refused"
 
+    @pytest.mark.parametrize("reset_on", [1, 2, 3])
+    def test_mid_stream_reset_recorded_at_every_step(
+        self, network, scanner_identity, scan_rng, reset_on
+    ):
+        """A live socket reset mid-stream raises ``OSError`` (so does
+        its replay); whichever connection it hits, the grab records it
+        instead of aborting the sweep."""
+
+        class ResetOnRead:
+            def __init__(self, inner):
+                self._inner = inner
+
+            @property
+            def bytes_sent(self):
+                return self._inner.bytes_sent
+
+            def write(self, data):
+                self._inner.write(data)
+
+            def read(self):
+                raise ConnectionResetError(104, "Connection reset by peer")
+
+            def close(self):
+                self._inner.close()
+
+        class ResettingNetwork:
+            clock = network.clock
+            connects = 0
+
+            def host(self, address):
+                return network.host(address)
+
+            def connect(self, address, port):
+                self.connects += 1
+                socket = network.connect(address, port)
+                if self.connects == reset_on:
+                    return ResetOnRead(socket)
+                return socket
+
+        # Connect #1: discovery; #2: secure channel; #3: session.
+        record = grab_host(
+            ResettingNetwork(),
+            parse_ipv4("10.0.0.1"),
+            4840,
+            scanner_identity,
+            scan_rng,
+        )
+        if reset_on == 1:
+            assert not record.is_opcua
+            assert record.error_category == "unreachable"
+        elif reset_on == 2:
+            assert not record.secure_channel.success
+            assert "reset" in record.secure_channel.error_reason
+            assert (
+                record.session.negotiation_error
+                == record.secure_channel.error_reason
+            )
+        else:
+            assert record.secure_channel.success
+            assert record.session.error_category == "unreachable"
+
     def test_silent_host_categorized_as_closed(
         self, network, scanner_identity, scan_rng
     ):
@@ -411,9 +552,63 @@ class TestErrorTruthfulness:
         assert record.session.success  # access itself worked
         assert record.session.details_error is not None
         assert "namespace read blew up" in record.session.details_error
-        # Two sessions were opened (anonymous attempt + negotiated
-        # re-grab) and both must be closed.
-        assert closes == [True, True]
+        # The anonymous attempt opened the grab's only session.
+        assert closes == [True]
+
+    def test_failed_channel_close_keeps_negotiation(
+        self, network, scanner_identity, scan_rng
+    ):
+        """Closing the secure channel is best-effort: once its open and
+        its protected round trip succeeded, a CloseSecureChannel that
+        fails changes neither the probe nor the negotiated pair."""
+        closes = []
+
+        class FailingClose:
+            """A socket whose CloseSecureChannel chunk never leaves."""
+
+            def __init__(self, inner):
+                self._inner = inner
+
+            @property
+            def bytes_sent(self):
+                return self._inner.bytes_sent
+
+            def write(self, data):
+                if data[:3] == b"CLO":
+                    closes.append(data)
+                    raise TransportError("connection reset on close")
+                self._inner.write(data)
+
+            def read(self):
+                return self._inner.read()
+
+            def close(self):
+                self._inner.close()
+
+        class FailingCloseNetwork:
+            clock = network.clock
+
+            def host(self, address):
+                return network.host(address)
+
+            def connect(self, address, port):
+                return FailingClose(network.connect(address, port))
+
+        address = parse_ipv4("10.0.0.1")
+        record = grab_host(
+            FailingCloseNetwork(), address, 4840, scanner_identity, scan_rng
+        )
+        assert len(closes) == 1
+        assert record.secure_channel.success
+        session = record.session
+        assert session.negotiated_policy_uri == POLICY_BASIC256SHA256.uri
+        assert session.negotiated_mode == int(
+            MessageSecurityMode.SIGN_AND_ENCRYPT
+        )
+        assert session.negotiation_error is None
+        clean = grab_host(network, address, 4840, scanner_identity, scan_rng)
+        assert record.secure_channel == clean.secure_channel
+        assert record.session == clean.session
 
     @pytest.mark.parametrize(
         "corrupt", [cut_last_byte, flip_last_byte], ids=["short", "flipped"]
@@ -484,3 +679,136 @@ class TestErrorTruthfulness:
         assert data["error_category"] == "timeout"
         assert data["session"]["error_category"] == "refused"
         assert HostRecord.from_json_dict(data) == record
+
+
+def _none_only_server(rng, keys):
+    return build_server(
+        rng,
+        keys,
+        endpoint_configs=[
+            EndpointConfig(MessageSecurityMode.NONE, POLICY_NONE)
+        ],
+    )
+
+
+def _tampered_network(server, tamper):
+    """One None-only host whose ReadResponses arrive tampered."""
+    net = SimNetwork(SimClock(parse_utc("2020-08-30")))
+    host = SimHost(address=parse_ipv4("10.0.0.9"), asn=64500)
+    host.listen(
+        4840, lambda: TamperedReadResponses(server.new_connection(), tamper)
+    )
+    net.add_host(host)
+    return net
+
+
+class TestMalformedReplies:
+    """Bytes a peer sends can fail a grab step, never the grab."""
+
+    @pytest.fixture()
+    def none_server(self, scan_rng, rsa_1024):
+        return _none_only_server(scan_rng.substream("none-only"), rsa_1024)
+
+    def test_garbled_read_response_recorded_as_protocol(
+        self, none_server, scanner_identity, scan_rng
+    ):
+        net = _tampered_network(
+            none_server, xor_byte(_NAMESPACE_URI_OFFSET)
+        )
+        record = grab_host(
+            net, parse_ipv4("10.0.0.9"), 4840, scanner_identity, scan_rng
+        )
+        assert record.session.success
+        assert record.session.details_error.startswith("protocol:")
+        assert "'utf-8' codec" in record.session.details_error
+        assert record.namespaces == []
+
+    def test_reply_of_another_service_recorded_as_protocol(
+        self, none_server, scanner_identity, scan_rng
+    ):
+        """A ReadResponse relabelled CloseSessionResponse decodes (its
+        body starts with a response header) but answers the wrong
+        service."""
+        net = _tampered_network(none_server, retype(CloseSessionResponse))
+        record = grab_host(
+            net, parse_ipv4("10.0.0.9"), 4840, scanner_identity, scan_rng
+        )
+        assert record.session.details_error == (
+            "protocol: expected ReadResponse, got CloseSessionResponse"
+        )
+
+    def test_deeply_nested_diagnostics_recorded_as_protocol(
+        self, none_server, scanner_identity, scan_rng
+    ):
+        """Nesting deep enough to exhaust the recursion limit is one
+        more malformed reply, not a crash."""
+        net = _tampered_network(none_server, nest_diagnostics(5000))
+        record = grab_host(
+            net, parse_ipv4("10.0.0.9"), 4840, scanner_identity, scan_rng
+        )
+        assert record.session.success
+        assert record.session.details_error.startswith("protocol:")
+
+    # The fixtures are only read across examples: each one is a fresh
+    # network and grab against the same server.
+    @settings(
+        derandomize=True,
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(offset=st.integers(0, 199), mask=st.integers(1, 255))
+    def test_any_garbled_read_response_yields_a_record(
+        self, none_server, scanner_identity, scan_rng, offset, mask
+    ):
+        net = _tampered_network(none_server, xor_byte(offset, mask))
+        record = grab_host(
+            net, parse_ipv4("10.0.0.9"), 4840, scanner_identity, scan_rng
+        )
+        assert record.session.success
+        details_error = record.session.details_error
+        assert details_error is None or details_error.startswith(
+            "protocol:"
+        )
+
+    def test_garbled_host_leaves_the_sweep_and_other_records_intact(
+        self, scanner_identity, scan_rng, rsa_1024
+    ):
+        addresses = [parse_ipv4(f"10.0.0.{i}") for i in (1, 2, 3)]
+        garbled = addresses[1]
+
+        def sweep(garble):
+            net = SimNetwork(SimClock(parse_utc("2020-08-30")))
+            for address in addresses:
+                server = _none_only_server(
+                    scan_rng.substream(f"server-{address}"), rsa_1024
+                )
+                host = SimHost(address=address, asn=64500)
+                if garble and address == garbled:
+                    host.listen(
+                        4840,
+                        lambda server=server: TamperedReadResponses(
+                            server.new_connection(),
+                            xor_byte(_NAMESPACE_URI_OFFSET),
+                        ),
+                    )
+                else:
+                    host.listen(4840, server.new_connection)
+                net.add_host(host)
+            campaign = ScanCampaign(
+                net,
+                ScannerIdentity(scanner_identity),
+                scan_rng.substream("three-hosts"),
+            )
+            snapshot = campaign.run_sweep(label="2020-08-30")
+            return {
+                record.ip: json.dumps(record.to_json_dict(), sort_keys=True)
+                for record in snapshot.records
+            }
+
+        clean, with_garbled = sweep(False), sweep(True)
+        assert sorted(with_garbled) == sorted(clean) == sorted(addresses)
+        assert '"details_error": "protocol:' in with_garbled[garbled]
+        for address in addresses:
+            if address != garbled:
+                assert with_garbled[address] == clean[address]

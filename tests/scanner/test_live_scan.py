@@ -281,10 +281,9 @@ class TestLiveGates:
     def test_rate_limiter_paces_every_connection(
         self, live_rng, scanner, rsa_1024
     ):
-        """One grab of an OPC UA host opens four connections
-        (discovery, secure-channel probe, session, negotiated
-        re-grab) — each one must pass the rate limiter, not just the
-        first."""
+        """One grab of an OPC UA host opens three connections
+        (discovery, secure channel, session) — each one must pass the
+        rate limiter, not just the first."""
         waits = []
 
         class _Spy(ScanRateLimiter):
@@ -304,7 +303,7 @@ class TestLiveGates:
             )
             snapshot = campaign.run([(LOOPBACK, port)])
         assert snapshot.records[0].is_opcua
-        assert waits == [LOOPBACK] * 4
+        assert waits == [LOOPBACK] * 3
 
     def test_rate_limiter_paces_refused_connects_too(
         self, live_rng, scanner

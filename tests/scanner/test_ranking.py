@@ -1,7 +1,8 @@
 """Unit tests for the shared endpoint-ranking helpers.
 
-These pickers drive three different grab steps (secure probe, session
-attempt, negotiated re-grab); their tie-break behaviour is part of the
+These pickers drive two grab steps (the secure channel, which probes
+and negotiates, and the session attempt) and the ``negotiated``
+analysis; their tie-break behaviour is part of the
 determinism contract, so it is pinned here explicitly.
 """
 

@@ -1,7 +1,10 @@
 from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.asn1 import der, oids
+from repro.scanner.records import CertificateInfo
 from repro.util.rng import DeterministicRng
 from repro.util.simtime import parse_utc
 from repro.x509 import (
@@ -176,6 +179,126 @@ class TestThumbprints:
             rng=cert_rng.substream("other"),
         )
         assert sha1_thumbprint(basic_cert) != sha1_thumbprint(other)
+
+
+def _rebuilt(cert, tbs_fields=(), sig_alg=None):
+    """``cert``'s DER with TBSCertificate fields (by index) or the
+    outer signature algorithm replaced; the signature stays."""
+    tbs, outer_sig_alg, sig_bits = der.decode_der(cert.raw_der)
+    fields = list(tbs)
+    for index, value in tbs_fields:
+        fields[index] = value
+    if sig_alg is None:
+        sig_alg = outer_sig_alg
+    return der.encode_der(
+        der.Sequence([der.Sequence(fields), sig_alg, sig_bits])
+    )
+
+
+def _rsa_spki(rsa_key):
+    algorithm = der.Sequence(
+        [der.ObjectIdentifier(oids.RSA_ENCRYPTION), der.Null()]
+    )
+    return der.Sequence([algorithm, der.BitString(der.encode_der(rsa_key))])
+
+
+_SUBJECT, _VALIDITY, _SPKI = 5, 4, 6  # TBSCertificate field indices
+_NOT_AN_INTEGER = der.RawTlv(0x1E, b"\x00\x01")  # a BMPString
+
+
+def _nested_sequences(depth):
+    value = der.encode_der(der.Null())
+    for _ in range(depth):
+        value = der.encode_der(der.RawTlv(der.TAG_SEQUENCE, value))
+    return value
+
+
+#: One certificate per way a malformed DER used to escape
+#: ``CertificateInfo.from_der``; the comment names what escaped.
+_MALFORMED = {
+    # UnicodeDecodeError, inside the DER decoder.
+    "subject-not-utf8": lambda cert: _rebuilt(
+        cert,
+        tbs_fields=[(_SUBJECT, der.Sequence([der.SetOf([der.Sequence([
+            der.ObjectIdentifier(oids.COMMON_NAME),
+            der.RawTlv(der.TAG_UTF8_STRING, b"\xa5device"),
+        ])])]))],
+    ),
+    # ValueError from strptime, inside the DER decoder.
+    "utctime-month-13": lambda cert: _rebuilt(
+        cert,
+        tbs_fields=[(_VALIDITY, der.Sequence([
+            der.RawTlv(der.TAG_UTC_TIME, b"201301000000Z"),
+            der.RawTlv(der.TAG_UTC_TIME, b"301301000000Z"),
+        ]))],
+    ),
+    # Asn1Error, from a nested decode outside the guarded region.
+    "key-not-der": lambda cert: _rebuilt(
+        cert,
+        tbs_fields=[(_SPKI, der.Sequence([
+            der.Sequence([der.ObjectIdentifier(oids.RSA_ENCRYPTION)]),
+            der.BitString(b"\x30\x05\x02"),
+        ]))],
+    ),
+    # TypeError on ``sig_alg[0]``.
+    "sig-alg-not-sequence": lambda cert: _rebuilt(cert, sig_alg=5),
+    # AttributeError on ``sig_alg[0].dotted``.
+    "sig-alg-without-oid": lambda cert: _rebuilt(
+        cert, sig_alg=der.Sequence([der.Null()])
+    ),
+    # AttributeError on ``.bit_length``, once the record is built.
+    "modulus-not-integer": lambda cert: _rebuilt(
+        cert,
+        tbs_fields=[(_SPKI, _rsa_spki(der.Sequence([
+            _NOT_AN_INTEGER, cert.public_key.e,
+        ])))],
+    ),
+    # TypeError from pow(), when the signature is verified.
+    "exponent-not-integer": lambda cert: _rebuilt(
+        cert,
+        tbs_fields=[(_SPKI, _rsa_spki(der.Sequence([
+            cert.public_key.n, _NOT_AN_INTEGER,
+        ])))],
+    ),
+    # RecursionError, inside the DER decoder.
+    "nested-too-deep": lambda cert: _nested_sequences(1500),
+}
+
+
+@st.composite
+def _mutations(draw, original: bytes) -> bytes:
+    """Byte overwrites, a truncation, or a short splice of ``original``."""
+    raw = bytearray(original)
+    kind = draw(st.sampled_from(["overwrite", "truncate", "splice"]))
+    if kind == "overwrite":
+        for _ in range(draw(st.integers(1, 3))):
+            raw[draw(st.integers(0, len(raw) - 1))] = draw(st.integers(0, 255))
+    elif kind == "truncate":
+        del raw[draw(st.integers(0, len(raw) - 1)) :]
+    else:
+        at = draw(st.integers(0, len(raw)))
+        raw[at:at] = draw(st.binary(min_size=1, max_size=8))
+    return bytes(raw)
+
+
+class TestMalformedDer:
+    """A served certificate is peer bytes: parsing it may reject it
+    with :class:`CertificateError` and must never raise anything else,
+    or one bad server would abort a whole sweep."""
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_pinned_escape_rejected(self, basic_cert, case):
+        raw = _MALFORMED[case](basic_cert)
+        with pytest.raises(CertificateError):
+            parse_certificate(raw)
+        assert CertificateInfo.from_der(raw) is None
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_der_yields_info_or_none(self, basic_cert, data):
+        raw = data.draw(_mutations(basic_cert.raw_der))
+        info = CertificateInfo.from_der(raw)
+        assert info is None or isinstance(info, CertificateInfo)
 
 
 class TestCrossValidation:
