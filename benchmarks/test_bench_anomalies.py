@@ -25,7 +25,7 @@ from repro.core.golden import (
     tiny_hostile_spec,
 )
 
-BACKENDS = (("serial", 1), ("thread", 4), ("process", 4), ("async", 8))
+BACKENDS = (("serial", 1), ("thread", 4), ("process", 4))
 METRICS_PATH = Path(__file__).resolve().parent / ".sweep_metrics.json"
 
 

@@ -26,7 +26,7 @@ from repro.dataset.catalog import StudyCatalog
 from repro.dataset.store import StudyStore
 
 SEED = 20200830
-BACKENDS = (("serial", 1), ("thread", 4), ("process", 4), ("async", 8))
+BACKENDS = (("serial", 1), ("thread", 4), ("process", 4))
 
 
 @pytest.fixture(scope="module")

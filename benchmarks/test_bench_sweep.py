@@ -10,9 +10,8 @@ fold into ``BENCH_sweep.json``.  A second, probe-dominated benchmark
 stage the executor now also fans out, and reports addresses/second.
 
 The threaded backend mostly overlaps scheduling (the simulation is
-pure Python, so the GIL serializes it), and the async backend runs its
-coroutines on one loop thread; the fork-based process backend is the
-one that scales with cores.  The ≥2× speedup assertion therefore
+pure Python, so the GIL serializes it); the fork-based process backend
+is the one that scales with cores.  The ≥2× speedup assertion therefore
 targets the process backend and only on machines with at least four
 CPUs (set ``REPRO_BENCH_STRICT=1`` to enforce it there).  Probing is
 different: the process backend runs stage-0 batches inline in the
@@ -33,7 +32,7 @@ from repro.scanner.executor import build_executor
 
 SEED = 20200830
 FINAL_SWEEP = 7
-BACKENDS = (("serial", 1), ("thread", 4), ("process", 4), ("async", 8))
+BACKENDS = (("serial", 1), ("thread", 4), ("process", 4))
 METRICS_PATH = Path(__file__).resolve().parent / ".sweep_metrics.json"
 
 # Probe benchmark shape: a port with (nearly) no listeners, many empty

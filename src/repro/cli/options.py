@@ -37,8 +37,8 @@ def add_executor(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "scan workers per sweep (default: 1 for --executor serial, "
-            "all CPUs for thread/process, 32 in-flight coroutines for "
-            "async; >1 alone implies --executor process)"
+            "all CPUs for thread/process; >1 alone implies --executor "
+            "process)"
         ),
     )
     parser.add_argument(
@@ -46,7 +46,7 @@ def add_executor(parser: argparse.ArgumentParser) -> None:
         choices=EXECUTOR_NAMES,
         default=None,
         help=(
-            "scan backend: serial (default), thread, process, or async "
+            "scan backend: serial (default), thread, or process "
             "(results are identical; only wall-clock time changes)"
         ),
     )

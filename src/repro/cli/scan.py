@@ -68,7 +68,7 @@ def register(commands) -> None:
         default=None,
         help=(
             "replay fan-out backend (replay records are identical on "
-            "every backend; live scans always use async)"
+            "every backend; live scans always use thread)"
         ),
     )
     scan.add_argument(
@@ -111,7 +111,7 @@ def register(commands) -> None:
     )
     scan.add_argument(
         "--workers", type=int, default=8,
-        help="in-flight connection bound (async executor semaphore)",
+        help="grabs in flight at once (live scans: one thread each)",
     )
     scan.add_argument(
         "--rate", type=float, default=10.0,
@@ -492,7 +492,7 @@ def cmd_scan(args) -> int:
         from repro.scanner.executor import build_executor
 
         executor = wrap_executor(
-            build_executor("async", max(config.workers, 1))
+            build_executor("thread", max(config.workers, 1))
         )
     try:
         campaign = LiveScanCampaign(

@@ -19,8 +19,8 @@ class StudyConfig:
 
     ``executor``/``workers`` select the scan backend (see
     :mod:`repro.scanner.executor`): ``serial`` (the default),
-    ``thread``, ``process``, or ``async``.  Snapshots are
-    bit-identical across backends; only wall-clock time changes.
+    ``thread``, or ``process``.  Snapshots are bit-identical across
+    backends; only wall-clock time changes.
 
     ``probe_batch_size`` sets how many candidate addresses each SYN
     probe batch (one executor task) covers; ``None`` uses

@@ -88,23 +88,6 @@ def pkcs1v15_verify(
     return em == expected
 
 
-def pkcs1v15_recover_digest_info(key: RsaPublicKey, signature: bytes) -> bytes:
-    """Recover the DigestInfo from a v1.5 signature (for cert parsing)."""
-    k = key.byte_length
-    if len(signature) != k:
-        raise CryptoError("signature length mismatch")
-    em = _int_to_bytes(key.raw_verify(_bytes_to_int(signature)), k)
-    if not em.startswith(b"\x00\x01"):
-        raise CryptoError("bad v1.5 header")
-    try:
-        sep = em.index(b"\x00", 2)
-    except ValueError:
-        raise CryptoError("missing v1.5 separator") from None
-    if any(byte != 0xFF for byte in em[2:sep]):
-        raise CryptoError("bad v1.5 padding bytes")
-    return em[sep + 1 :]
-
-
 # --- RSAES-PKCS1-v1_5 -------------------------------------------------------
 
 

@@ -18,7 +18,6 @@ from repro.dataset.io import (
 from repro.dataset.store import (
     StoreIntegrityError,
     StudyStore,
-    default_store,
     resolve_store,
     study_key,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "StudyCatalog",
     "StudyStore",
     "anonymize_snapshot",
-    "default_store",
     "iter_snapshots",
     "read_snapshots",
     "resolve_store",

@@ -20,8 +20,8 @@ directly:
   :class:`~repro.scanner.executor.ScanExecutor` backend and compares
   them into a digest-pinned
   :class:`~repro.analysis.diff.StudyDiff` (byte-identical on
-  serial/thread/process/async, because the folds are pure functions
-  of the stored snapshot bytes).
+  serial/thread/process, because the folds are pure functions of the
+  stored snapshot bytes).
 
     >>> import tempfile
     >>> from repro.core.config import StudyConfig
@@ -218,7 +218,7 @@ class StudyCatalog:
         fan out through any backend; the comparison itself is
         deterministic, making the resulting
         :meth:`~repro.analysis.diff.StudyDiff.digest` byte-identical
-        across serial/thread/process/async.
+        across serial/thread/process.
         """
         for key in dict.fromkeys((key_a, key_b)):
             # Fail with the registry's KeyError before spawning workers.

@@ -92,7 +92,7 @@ from repro.scanner.records import MeasurementSnapshot
 SCHEMA_VERSION = 1
 
 #: Environment variable naming the default store directory.  Used by
-#: :func:`default_store` so CI and benchmarks opt whole process trees
+#: :func:`resolve_store` so CI and benchmarks opt whole process trees
 #: into the store without threading a path through every call site.
 STORE_ENV = "REPRO_STUDY_STORE"
 
@@ -179,23 +179,6 @@ def resolve_store(path: str | Path | None = None) -> "StudyStore | None":
     if path is None:
         return None
     return StudyStore(path)
-
-
-def default_store(path: str | Path | None = None) -> "StudyStore | None":
-    """Deprecated alias for :func:`resolve_store`.
-
-    Kept as a warning shim for one release so external callers keep
-    working; new code should call :func:`resolve_store`.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.dataset.store.default_store is deprecated; use "
-        "resolve_store instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return resolve_store(path)
 
 
 class StudyStore:

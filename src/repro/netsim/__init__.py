@@ -2,14 +2,13 @@
 
 Stands in for the public Internet the paper scanned: hosts registered
 at integer IPv4 addresses inside autonomous-system CIDR blocks, TCP
-connections as synchronous byte streams, a latency model driven by the
-simulated clock, a zmap-style port sweep, and an opt-out blocklist
-honouring the paper's ethics process (Appendix A).
+connections as synchronous byte streams that cost no simulated time,
+a zmap-style port sweep, and an opt-out blocklist honouring the
+paper's ethics process (Appendix A).
 """
 
 from repro.netsim.asn import AsRegistry, AutonomousSystem
 from repro.netsim.blocklist import Blocklist
-from repro.netsim.latency import LatencyModel
 from repro.netsim.net import (
     ConnectionRefused,
     HostDown,
@@ -24,7 +23,6 @@ __all__ = [
     "Blocklist",
     "ConnectionRefused",
     "HostDown",
-    "LatencyModel",
     "PortScanResult",
     "SimNetwork",
     "SimSocket",

@@ -4,15 +4,14 @@ A host registers listeners per TCP port; each listener is a factory
 returning a connection object with a ``receive(bytes) -> bytes``
 method (the shape of :class:`repro.server.engine.ServerConnection`).
 Connecting yields a :class:`SimSocket` whose ``write``/``read`` pair
-models a synchronous request/response exchange and advances the
-simulated clock by the modelled RTT.
+models a synchronous request/response exchange.  A simulated round
+trip costs no simulated time; only a stalling peer advances the clock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.netsim.latency import ZeroLatency
 from repro.transport.messages import TransportTimeout
 from repro.util.ipaddr import format_ipv4
 from repro.util.simtime import SimClock
@@ -55,12 +54,9 @@ class SimHost:
             )
         self.listeners[port] = connection_factory
 
-    def close_port(self, port: int) -> None:
-        self.listeners.pop(port, None)
-
 
 class SimSocket:
-    """A connected TCP-ish byte stream with RTT accounting.
+    """A connected TCP-ish byte stream with byte accounting.
 
     Connections normally answer synchronously inside ``write``.  A
     connection may additionally implement ``poll() -> (seconds,
@@ -75,14 +71,10 @@ class SimSocket:
         self,
         connection,
         clock: SimClock,
-        latency,
-        asn: int | None,
         stall_timeout_s: float = DEFAULT_STALL_TIMEOUT_S,
     ):
         self._connection = connection
         self._clock = clock
-        self._latency = latency
-        self._asn = asn
         self._inbox = bytearray()
         self._stall_timeout_s = stall_timeout_s
         self._stalled_s = 0.0
@@ -93,7 +85,6 @@ class SimSocket:
     def write(self, data: bytes) -> None:
         if self.closed:
             raise ConnectionRefused("socket is closed")
-        self._clock.advance(self._latency.rtt(self._asn))
         self.bytes_sent += len(data)
         response = self._connection.receive(data)
         self.bytes_received += len(response)
@@ -130,11 +121,9 @@ class SimNetwork:
     def __init__(
         self,
         clock: SimClock | None = None,
-        latency=None,
         stall_timeout_s: float = DEFAULT_STALL_TIMEOUT_S,
     ):
         self.clock = clock or SimClock()
-        self.latency = latency or ZeroLatency()
         self.stall_timeout_s = stall_timeout_s
         self._hosts: dict[int, SimHost] = {}
 
@@ -145,9 +134,6 @@ class SimNetwork:
             )
         self._hosts[host.address] = host
         return host
-
-    def remove_host(self, address: int) -> None:
-        self._hosts.pop(address, None)
 
     def host(self, address: int) -> SimHost | None:
         return self._hosts.get(address)
@@ -164,9 +150,9 @@ class SimNetwork:
         return host is not None and port in host.listeners
 
     def connect(self, address: int, port: int) -> SimSocket:
-        return self._make_socket(address, port, self.clock, self.latency)
+        return self._make_socket(address, port, self.clock)
 
-    def _make_socket(self, address, port, clock, latency) -> SimSocket:
+    def _make_socket(self, address, port, clock) -> SimSocket:
         host = self._hosts.get(address)
         if host is None:
             raise HostDown(f"no host at {format_ipv4(address)}")
@@ -177,34 +163,28 @@ class SimNetwork:
             )
         connection = factory()
         return SimSocket(
-            connection, clock, latency, host.asn,
-            stall_timeout_s=self.stall_timeout_s,
+            connection, clock, stall_timeout_s=self.stall_timeout_s
         )
 
-    def task_view(self, label: str) -> "NetworkView":
-        """A per-task facade with isolated clock and latency stream.
+    def task_view(self) -> "NetworkView":
+        """A per-task facade with an isolated clock.
 
         Parallel grabs must not race on the shared sweep clock (the
-        traversal paces itself by advancing it), so each scan task gets
-        a view whose clock starts at the current sweep time and whose
-        latency jitter draws from a substream keyed by ``label``.  The
-        serial executor uses the same views, which is what makes all
-        backends bit-identical.
+        traversal paces itself by advancing it, and a stalling peer
+        spends its deadline on it), so each scan task gets a view whose
+        clock starts at the current sweep time.  The serial executor
+        uses the same views, which is what makes all backends
+        bit-identical.
         """
-        latency = self.latency
-        fork = getattr(latency, "fork", None)
-        if fork is not None:
-            latency = fork(label)
-        return NetworkView(self, SimClock(self.clock.now()), latency)
+        return NetworkView(self, SimClock(self.clock.now()))
 
 
 class NetworkView:
     """Shares a :class:`SimNetwork`'s hosts, owns its own clock."""
 
-    def __init__(self, network: SimNetwork, clock: SimClock, latency):
+    def __init__(self, network: SimNetwork, clock: SimClock):
         self._network = network
         self.clock = clock
-        self.latency = latency
 
     def host(self, address: int) -> SimHost | None:
         return self._network.host(address)
@@ -215,49 +195,17 @@ class NetworkView:
     def syn(self, address: int, port: int) -> bool:
         return self._network.syn(address, port)
 
-    def probe(self, address: int, port: int) -> bool:
-        """SYN probe with pacing: advances this view's clock by one
-        (jitter-free) round trip before reporting the port state.
-
-        The campaign's batched sweep probes on per-batch views, so the
-        pacing models zmap's send rate on the simulated clock without
-        touching the shared sweep clock — probe timing never reaches a
-        :class:`~repro.scanner.records.HostRecord`.
-        """
-        host = self._network.host(address)
-        pace = getattr(self.latency, "syn_rtt", self.latency.rtt)
-        self.clock.advance(pace(host.asn if host is not None else None))
-        return host is not None and port in host.listeners
-
     def probe_many(self, addresses, port: int) -> list[int]:
-        """Batched :meth:`probe`: the open subset of ``addresses``.
-
-        Port states are exactly what per-address :meth:`probe` calls
-        would report, and the latency model is consulted once per
-        address as before (so jitter-drawing models see the same call
-        sequence); only the clock bookkeeping is batched — one advance
-        by the summed pacing instead of one per probe.  Open addresses
-        come back in input order.
-        """
-        hosts = self._network._hosts
-        latency = self.latency
-        pace = getattr(latency, "syn_rtt", latency.rtt)
-        hosts_get = hosts.get
+        """zmap-style SYN sweep of one batch: the open subset of
+        ``addresses``, in input order (no data exchanged)."""
+        hosts_get = self._network._hosts.get
         opens: list[int] = []
         append = opens.append
-        total = 0.0
         for address in addresses:
             host = hosts_get(address)
-            if host is None:
-                total += pace(None)
-            else:
-                total += pace(host.asn)
-                if port in host.listeners:
-                    append(address)
-        self.clock.advance(total)
+            if host is not None and port in host.listeners:
+                append(address)
         return opens
 
     def connect(self, address: int, port: int) -> SimSocket:
-        return self._network._make_socket(
-            address, port, self.clock, self.latency
-        )
+        return self._network._make_socket(address, port, self.clock)

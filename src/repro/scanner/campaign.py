@@ -11,12 +11,12 @@ visible in Figure 2); ``follow_references=True`` reproduces that.
 
 The whole sweep — SYN probing *and* protocol grabbing — runs through a
 pluggable :class:`~repro.scanner.executor.ScanExecutor` (serial,
-thread pool, fork-based process pool, or asyncio event loop).  The
-candidate permutation is cut into :class:`ProbeBatchTask`s (stage 0);
-each batch is probed on its own network view, its open addresses
-expand into :class:`GrabTask`s (stage 1) that start grabbing while
-later batches are still probing, and follow-reference grabs (stage 2)
-feed back through the same bounded queue.  Four invariants make every
+thread pool, or fork-based process pool).  The candidate permutation
+is cut into :class:`ProbeBatchTask`s (stage 0); each batch is probed
+on its own network view, its open addresses expand into
+:class:`GrabTask`s (stage 1) that start grabbing while later batches
+are still probing, and follow-reference grabs (stage 2) feed back
+through the same bounded queue.  Four invariants make every
 backend produce byte-identical snapshots:
 
 * each grab derives its RNG purely from ``(seed, date, address,
@@ -38,7 +38,6 @@ backend produce byte-identical snapshots:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -53,7 +52,6 @@ from repro.scanner.executor import (
     ScanExecutor,
     SerialScanExecutor,
     build_executor,
-    offload_blocking_grab,
 )
 from repro.scanner.grabber import grab_host
 from repro.scanner.limits import ScanRateLimiter, TraversalBudget
@@ -165,7 +163,7 @@ class ScanCampaign:
 
         def perform(task):
             if isinstance(task, ProbeBatchTask):
-                return self._probe_batch(task, date)
+                return self._probe_batch(task)
             return self._grab(task, sweep_rng, traverse)
 
         def expand(task, record):
@@ -233,19 +231,16 @@ class ScanCampaign:
             batch_size=batch_size,
         )
 
-    def _probe_batch(
-        self, task: ProbeBatchTask, date: str
-    ) -> ProbeBatchOutcome:
+    def _probe_batch(self, task: ProbeBatchTask) -> ProbeBatchOutcome:
         """SYN-probe one batch (runs inside executor workers).
 
         The blocklist is consulted at probe time — candidate
         generation deliberately does not filter (zmap's shard
         permutation is blocklist-agnostic too), so excluded accounting
         is identical whether the stream is probed serially or batched
-        across workers.  The per-(sweep, batch) view keeps SYN pacing
-        off the shared clock and off other batches' latency streams.
+        across workers.
         """
-        view = self._network.task_view(f"probe-{date}-{task.index}")
+        view = self._network.task_view()
         blocklist = self._blocklist
         addresses = [
             address
@@ -266,7 +261,7 @@ class ScanCampaign:
         traverse: bool = True,
     ) -> HostRecord:
         budget = replace(self._budget_template)
-        view = self._network.task_view(f"task-{task.address}-{task.port}")
+        view = self._network.task_view()
         return grab_host(
             view,
             task.address,
@@ -440,11 +435,12 @@ class LiveScanCampaign:
 
     The pipeline is the simulated campaign's: ``GrabTask``s fanned
     through a :class:`~repro.scanner.executor.ScanExecutor` (the
-    async backend by default — bounded coroutines, per-connection
-    deadlines in the transport), records assembled canonically by
-    ``(address, port)``.  What changes is what stands in front of a
-    connection: the :class:`~repro.scanner.ethics.LiveScanGate`
-    (contact identity, bounded explicit list, blocklist) and a
+    thread backend by default — ``workers`` blocking grabs in flight,
+    per-connection deadlines in the transport), records assembled
+    canonically by ``(address, port)``.  What changes is what stands
+    in front of a connection: the
+    :class:`~repro.scanner.ethics.LiveScanGate` (contact identity,
+    bounded explicit list, blocklist) and a
     :class:`~repro.scanner.limits.ScanRateLimiter`.  Follow-references
     are deliberately unsupported — a live run contacts only addresses
     it was explicitly given.
@@ -497,19 +493,14 @@ class LiveScanCampaign:
 
         config = self._config
         executor = self._executor or build_executor(
-            "async", max(config.workers, 1)
+            "thread", max(config.workers, 1)
         )
         date = label or format_utc(WallClock().now())[:10]
-        with ThreadPoolExecutor(
-            max_workers=max(config.workers, 1),
-            thread_name_prefix="live-grab",
-        ) as pool:
-            grab = offload_blocking_grab(self._grab_sync, pool)
-            completed = executor.run(
-                (GrabTask(address, port) for address, port in allowed),
-                grab,
-                lambda task, record: [],
-            )
+        completed = executor.run(
+            (GrabTask(address, port) for address, port in allowed),
+            self._grab_sync,
+            lambda task, record: [],
+        )
 
         snapshot = MeasurementSnapshot(
             date=date,
@@ -575,8 +566,8 @@ class ReplayScanCampaign:
     Fans one :class:`~repro.transport.capture.TargetCapture` per
     recorded target through a
     :class:`~repro.scanner.executor.ScanExecutor` (any backend —
-    replay grabs are pure computation, so serial/thread/process/async
-    all produce byte-identical snapshots, assembled in canonical
+    replay grabs are pure computation, so serial/thread/process all
+    produce byte-identical snapshots, assembled in canonical
     ``(address, port)`` order like the live lane's).
 
     ``identity`` and ``rng`` must match the recording's: the protocol

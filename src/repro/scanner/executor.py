@@ -4,21 +4,17 @@ The paper's infrastructure ran zmap and zgrab2 as a pipeline: while
 the port sweep was still emitting open addresses, protocol grabs were
 already running, and endpoints referenced by already-grabbed servers
 were fed back into the grab queue.  This module reproduces that shape
-with four interchangeable backends:
+with three interchangeable backends:
 
 * :class:`SerialScanExecutor` — one task at a time (the seed
   behaviour, and the reference for determinism checks);
 * :class:`ThreadScanExecutor` — a thread pool (overlaps tasks; bounded
-  by the GIL for pure-Python work but exercises the identical
-  scheduling path);
+  by the GIL for pure-Python work, but the right shape for live grabs,
+  which spend their time blocked on sockets);
 * :class:`ProcessScanExecutor` — a fork-based process pool (true
   multi-core throughput on POSIX; workers inherit the simulated
   network and the in-memory RSA keycache through fork, so nothing is
-  re-generated per worker);
-* :class:`AsyncScanExecutor` — an asyncio event loop (one OS thread,
-  bounded coroutine concurrency; the right shape for latency-bound
-  non-simulated targets where a thread or process per in-flight
-  connection wastes memory).
+  re-generated per worker).
 
 Tasks come in pipeline *stages*: the SYN sweep itself runs as
 stage-0 :class:`ProbeBatchTask`s, the protocol grabs they discover are
@@ -53,12 +49,7 @@ from typing import Callable, Iterable, List, Tuple
 #: buffer between zmap and zgrab2).
 DEFAULT_QUEUE_SIZE = 64
 
-EXECUTOR_NAMES = ("serial", "thread", "process", "async")
-
-#: Default in-flight coroutine bound for the async backend.  CPU count
-#: is the wrong yardstick for an event loop — concurrency is limited by
-#: how many connections may be awaiting a response, not by cores.
-DEFAULT_ASYNC_CONCURRENCY = 32
+EXECUTOR_NAMES = ("serial", "thread", "process")
 
 #: Grab tasks per IPC round-trip on the process backend.  Submitting
 #: and collecting one task at a time costs a pickle, a queue wake-up,
@@ -73,8 +64,8 @@ class ProbeBatchTask:
     """One SYN-sweep batch: probe ``addresses`` on ``port``.
 
     Stage 0 of the pipeline.  The campaign probes each batch on its own
-    :class:`~repro.netsim.net.NetworkView` (per-(sweep, batch) latency
-    substream), so batches are independent and safe to fan out.
+    :class:`~repro.netsim.net.NetworkView`, so batches are independent
+    and safe to fan out.
     """
 
     index: int
@@ -177,7 +168,7 @@ class SerialScanExecutor(ScanExecutor):
 
 
 class _PooledScanExecutor(ScanExecutor):
-    """Shared coordinator for the thread, process, and async backends.
+    """Shared coordinator for the thread and process backends.
 
     The coordinator submits the initial task stream (so grabbing
     starts while the port sweep is still probing), then drains a
@@ -262,11 +253,11 @@ class _PooledScanExecutor(ScanExecutor):
                 # by the context exit) cannot deadlock on workers
                 # blocked at the bounded queue.  Safe to block: every
                 # backend guarantees one queue put per submitted task
-                # (thread workers and async coroutines always put;
-                # process chunk relays put one triple per task even on
-                # cancellation or a broken pool) — provided buffered
-                # submissions are flushed first, since a task still in
-                # the submit buffer has no worker owing a put.
+                # (thread workers always put; process chunk relays put
+                # one triple per task even on cancellation or a broken
+                # pool) — provided buffered submissions are flushed
+                # first, since a task still in the submit buffer has no
+                # worker owing a put.
                 abort = getattr(submit, "abort", None)
                 if isinstance(exc, KeyboardInterrupt) and abort is not None:
                     # Ctrl-C means *stop now*, not "finish the sweep,
@@ -512,162 +503,6 @@ class ProcessScanExecutor(_PooledScanExecutor):
         return _Ctx()
 
 
-class AsyncScanExecutor(_PooledScanExecutor):
-    """Asyncio backend: one event-loop thread, bounded coroutine fan-out.
-
-    Every submitted task becomes a coroutine gated by a semaphore of
-    ``workers`` concurrent slots.  ``grab`` may be a plain callable
-    (the simulated network is synchronous, so CPU work serializes on
-    the loop — correctness-identical, no parallel speedup) or return
-    an awaitable, which the loop awaits — the shape a real
-    latency-bound scan wants: thousands of in-flight connections on
-    one OS thread instead of a thread or fork per connection.
-    """
-
-    name = "async"
-
-    def _pool(self, grab, results_q):
-        import asyncio
-        import concurrent.futures as futures_mod
-        import inspect
-
-        parent = self
-
-        class _Ctx:
-            def __enter__(self_inner):
-                self_inner.loop = asyncio.new_event_loop()
-                self_inner.thread = threading.Thread(
-                    target=self_inner.loop.run_forever,
-                    name="scan-async-loop",
-                    daemon=True,
-                )
-                self_inner.thread.start()
-                semaphore = asyncio.Semaphore(parent.workers)
-                futures: list = []
-                guard = threading.Lock()
-                aborted = [False]
-
-                async def worker(task, put_once) -> None:
-                    if aborted[0]:
-                        # Interrupted: scheduled-but-unstarted
-                        # coroutines run their first step regardless
-                        # of future cancellation, so the body itself
-                        # must refuse to grab — settling its queue put
-                        # with a cancellation triple instead.
-                        put_once((task, None, futures_mod.CancelledError()))
-                        return
-                    try:
-                        async with semaphore:
-                            try:
-                                record = grab(task)
-                                if inspect.isawaitable(record):
-                                    record = await record
-                                payload = (task, record, None)
-                            except BaseException as exc:
-                                payload = (task, None, exc)
-                    except BaseException as exc:
-                        # Cancelled while waiting at the semaphore:
-                        # the grab never ran, but the task still owes
-                        # its queue put before the cancellation
-                        # propagates.
-                        put_once((task, None, exc))
-                        raise
-                    # queue.Queue is thread-safe, so putting from the
-                    # loop thread is fine.  A full queue blocks the
-                    # loop — acceptable backpressure: the coordinator
-                    # is always draining, so the put always completes.
-                    put_once(payload)
-
-                def submit(task) -> None:
-                    fired = [False]
-
-                    def put_once(payload) -> None:
-                        # One queue put per task, exactly — the done
-                        # callback below and the worker body can both
-                        # reach here when a cancellation lands mid-grab.
-                        with guard:
-                            if fired[0]:
-                                return
-                            fired[0] = True
-                        results_q.put(payload)
-
-                    future = asyncio.run_coroutine_threadsafe(
-                        worker(task, put_once), self_inner.loop
-                    )
-
-                    def on_done(fut, task=task, put_once=put_once):
-                        if fut.cancelled():
-                            # Cancelled before the coroutine ever ran:
-                            # no worker body exists to put, so settle
-                            # the task's debt here.
-                            put_once(
-                                (task, None, futures_mod.CancelledError())
-                            )
-
-                    future.add_done_callback(on_done)
-                    futures.append(future)
-
-                def abort() -> int:
-                    # The flag stops every body that has not started;
-                    # cancellation (scheduled on the loop thread, so
-                    # every resulting queue put — done callbacks
-                    # included — happens off the coordinator thread,
-                    # which is about to drain the queue) interrupts
-                    # the ones parked at the semaphore or mid-await.
-                    # Every task still delivers exactly one put, hence
-                    # the 0: the coordinator's pending count is
-                    # already right.
-                    aborted[0] = True
-
-                    def cancel_all(pending=list(futures)):
-                        for future in pending:
-                            future.cancel()
-
-                    futures.clear()
-                    self_inner.loop.call_soon_threadsafe(cancel_all)
-                    return 0
-
-                submit.abort = abort
-                return submit
-
-            def __exit__(self_inner, *exc_info):
-                # The coordinator only exits after draining one result
-                # per submitted task, and each worker's final step runs
-                # put-then-return atomically — every coroutine is done.
-                self_inner.loop.call_soon_threadsafe(self_inner.loop.stop)
-                self_inner.thread.join()
-                self_inner.loop.close()
-                return False
-
-        return _Ctx()
-
-
-def offload_blocking_grab(grab: GrabFn, pool) -> GrabFn:
-    """Adapt a blocking grab function for any backend, async included.
-
-    Live grabs block their calling thread on real socket I/O.  Under
-    the serial/thread/process backends that is exactly right, and the
-    wrapper is transparent (no running event loop → direct call).  On
-    the async backend the grab is invoked *on the loop thread*, where
-    blocking would stall every in-flight coroutine — so it is
-    offloaded to ``pool`` (a ``ThreadPoolExecutor``) and the returned
-    future awaited, semaphore-bounded like any other task.  The
-    socket I/O itself multiplexes on the shared transport loop
-    (:func:`repro.transport.socket_io.shared_io_loop`), never on the
-    executor's.
-    """
-    import asyncio
-
-    def wrapped(task):
-        try:
-            loop = asyncio.get_running_loop()
-        except RuntimeError:
-            return grab(task)
-        return loop.run_in_executor(pool, grab, task)
-
-    return wrapped
-
-
 class ProfiledScanExecutor(ScanExecutor):
     """Decorator executor feeding per-stage counters to ``--profile``.
 
@@ -712,9 +547,9 @@ class ProfiledScanExecutor(ScanExecutor):
 def build_executor(name: str = "serial", workers: int = 1) -> ScanExecutor:
     """Instantiate a backend by name (:data:`EXECUTOR_NAMES`).
 
-    ``workers == 1`` always yields the serial backend — a pool (or
-    event loop) of one only adds scheduling overhead and the outputs
-    are identical by construction.
+    ``workers == 1`` always yields the serial backend — a pool of one
+    only adds scheduling overhead and the outputs are identical by
+    construction.
     """
     if name not in EXECUTOR_NAMES:
         raise ValueError(
@@ -726,8 +561,6 @@ def build_executor(name: str = "serial", workers: int = 1) -> ScanExecutor:
         return SerialScanExecutor()
     if name == "thread":
         return ThreadScanExecutor(workers)
-    if name == "async":
-        return AsyncScanExecutor(workers)
     return ProcessScanExecutor(workers)
 
 
@@ -742,10 +575,7 @@ def resolve_executor(
     * neither given → serial, one worker;
     * ``workers`` > 1 alone → the ``process`` backend (the one that
       actually scales with cores);
-    * ``thread``/``process`` alone → one worker per CPU;
-    * ``async`` alone → :data:`DEFAULT_ASYNC_CONCURRENCY` in-flight
-      coroutines (an event loop is bounded by outstanding latency,
-      not cores).
+    * ``thread``/``process`` alone → one worker per CPU.
     """
     if name is not None and name not in EXECUTOR_NAMES:
         raise ValueError(
@@ -756,10 +586,5 @@ def resolve_executor(
     if name is None:
         name = "process" if (workers or 1) > 1 else "serial"
     if workers is None:
-        if name == "serial":
-            workers = 1
-        elif name == "async":
-            workers = DEFAULT_ASYNC_CONCURRENCY
-        else:
-            workers = os.cpu_count() or 1
+        workers = 1 if name == "serial" else (os.cpu_count() or 1)
     return name, workers

@@ -140,14 +140,6 @@ def _compile_spec(spec):
     raise TypeError(f"unsupported field spec: {spec!r}")
 
 
-def _encode_field(writer: BinaryWriter, spec, value) -> None:
-    _compile_spec(spec)[0](writer, value)
-
-
-def _decode_field(reader: BinaryReader, spec):
-    return _compile_spec(spec)[1](reader)
-
-
 #: class -> ((name, encode) ...), class -> ((name, decode) ...); keyed
 #: by the concrete class so subclasses refining ``_fields_`` never see
 #: a parent's plan.

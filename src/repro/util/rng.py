@@ -1,7 +1,7 @@
 """Deterministic, namespaced random streams.
 
 Every stochastic decision in the simulation (population layout, key
-generation, scan ordering, latency) draws from a stream derived from a
+generation, scan ordering) draws from a stream derived from a
 single study seed plus a textual namespace.  Two properties matter:
 
 * reproducibility — the same seed yields byte-identical populations and

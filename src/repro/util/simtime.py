@@ -28,7 +28,10 @@ def parse_utc(text: str) -> datetime:
 
 
 def format_utc(moment: datetime) -> str:
-    return moment.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
+    """``YYYY-MM-DDTHH:MM:SS`` in UTC, the year zero-padded to four
+    digits so that :func:`parse_utc` reads back every year."""
+    utc = moment.astimezone(timezone.utc).replace(tzinfo=None)
+    return utc.isoformat(timespec="seconds")
 
 
 def datetime_to_filetime(moment: datetime) -> int:

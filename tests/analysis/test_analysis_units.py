@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.access import analyze_access_control, classify_system
+from repro.analysis.anomalies import analyze_anomalies
 from repro.analysis.certs import (
     analyze_certificate_conformance,
     certificate_conformance_class,
@@ -12,10 +13,12 @@ from repro.analysis.modes import analyze_security_modes
 from repro.analysis.policies import analyze_security_policies
 from repro.analysis.reuse import analyze_certificate_reuse, find_shared_primes
 from repro.analysis.rights import analyze_access_rights
+from repro.asn1 import der
 from repro.scanner.records import (
     CertificateInfo,
     EndpointRecord,
     HostRecord,
+    MeasurementSnapshot,
     NodeSummary,
     SecureChannelAttempt,
     SessionAttempt,
@@ -26,6 +29,9 @@ from repro.secure.policies import (
     POLICY_NONE,
 )
 from repro.uabin.enums import MessageSecurityMode, UserTokenType
+from repro.util.rng import DeterministicRng
+from repro.util.simtime import parse_utc
+from repro.x509.builder import make_self_signed
 
 
 def make_record(
@@ -334,3 +340,35 @@ class TestDeficits:
         summary = analyze_deficits(records)
         assert summary.certificate_reuse == 3
         assert summary.deficient == 3
+
+
+class TestEarlyValidityYears:
+    def test_certificate_valid_from_year_5(self, rsa_768):
+        """A served certificate may claim any GeneralizedTime; the
+        record must store its dates so that the analyses read them
+        back."""
+        cert = make_self_signed(
+            rsa_768,
+            common_name="device",
+            application_uri="urn:acme:device",
+            not_before=parse_utc("2019-06-01"),
+            hash_name="sha256",
+            rng=DeterministicRng(5, "year-5"),
+        )
+        tbs, sig_alg, sig_bits = der.decode_der(cert.raw_der)
+        fields = list(tbs)
+        fields[4] = der.Sequence([  # TBSCertificate.validity
+            der.RawTlv(der.TAG_GENERALIZED_TIME, b"00050101000000Z"),
+            der.RawTlv(der.TAG_UTC_TIME, b"300101000000Z"),
+        ])
+        info = CertificateInfo.from_der(der.encode_der(
+            der.Sequence([der.Sequence(fields), sig_alg, sig_bits])
+        ))
+        assert info.not_before == "0005-01-01T00:00:00"
+        assert info.not_before_dt().year == 5
+        snapshot = MeasurementSnapshot(
+            date="2020-08-30", records=[make_record(cert=info)]
+        )
+        stats = analyze_anomalies([snapshot])
+        assert stats.not_yet_valid_certificates == 0
+        assert stats.expired_certificates == 0

@@ -172,7 +172,7 @@ class TestDiffAcrossBackends:
             backend: catalog.diff(
                 key_a, key_b, executor=backend, workers=2
             ).digest()
-            for backend in ("serial", "thread", "process", "async")
+            for backend in ("serial", "thread", "process")
         }
         assert len(set(digests.values())) == 1, digests
 

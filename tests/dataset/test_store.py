@@ -421,11 +421,3 @@ class TestResolveStore:
 
         monkeypatch.delenv("REPRO_STUDY_STORE", raising=False)
         assert resolve_store() is None
-
-    def test_default_store_is_a_deprecation_shim(self, tmp_path, monkeypatch):
-        from repro.dataset.store import default_store
-
-        monkeypatch.delenv("REPRO_STUDY_STORE", raising=False)
-        with pytest.warns(DeprecationWarning, match="resolve_store"):
-            store = default_store(tmp_path / "legacy")
-        assert store.root == tmp_path / "legacy"

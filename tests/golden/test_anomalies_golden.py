@@ -32,7 +32,6 @@ ANOMALIES_PATH = Path(__file__).resolve().parent / "anomalies.digest.json"
 BACKENDS = [
     pytest.param("thread", 4, id="thread"),
     pytest.param("process", 4, id="process"),
-    pytest.param("async", 8, id="async"),
 ]
 
 #: Noise hosts the golden study config plants (junk TCP responders on

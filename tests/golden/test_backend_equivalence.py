@@ -1,4 +1,4 @@
-"""Cross-backend equivalence matrix: serial == thread == process == async.
+"""Cross-backend equivalence matrix: serial == thread == process.
 
 Every executor backend must reproduce the committed golden digests
 bit-for-bit on the tiny-spec study.  This replaces the full-study
@@ -22,7 +22,6 @@ pytestmark = pytest.mark.golden
 BACKENDS = [
     pytest.param("thread", 4, id="thread"),
     pytest.param("process", 4, id="process"),
-    pytest.param("async", 8, id="async"),
 ]
 
 

@@ -30,7 +30,6 @@ NEGOTIATED_PATH = Path(__file__).resolve().parent / "negotiated.digest.json"
 BACKENDS = [
     pytest.param("thread", 4, id="thread"),
     pytest.param("process", 4, id="process"),
-    pytest.param("async", 8, id="async"),
 ]
 
 

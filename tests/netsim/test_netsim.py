@@ -2,7 +2,6 @@ import pytest
 
 from repro.netsim.asn import AsRegistry, AutonomousSystem
 from repro.netsim.blocklist import Blocklist
-from repro.netsim.latency import LatencyModel, ZeroLatency
 from repro.netsim.net import ConnectionRefused, HostDown, SimHost, SimNetwork
 from repro.netsim.tcpscan import sweep_port
 from repro.util.ipaddr import CidrBlock, parse_ipv4
@@ -15,6 +14,18 @@ class EchoConnection:
 
     def receive(self, data: bytes) -> bytes:
         return data
+
+
+class StallingConnection:
+    """Answers nothing at once; each ``poll`` stalls 5 s, then sends."""
+
+    closed = False
+
+    def receive(self, data: bytes) -> bytes:
+        return b""
+
+    def poll(self) -> tuple[float, bytes]:
+        return (5.0, b"late")
 
 
 def make_network():
@@ -73,18 +84,6 @@ class TestSimNetwork:
         with pytest.raises(ValueError):
             host.listen(4840, EchoConnection)
 
-    def test_latency_advances_clock(self):
-        clock = SimClock(parse_utc("2020-02-09"))
-        latency = LatencyModel(DeterministicRng(1, "lat"), default_rtt_s=0.1)
-        network = SimNetwork(clock, latency)
-        host = SimHost(address=1, asn=64500)
-        host.listen(4840, EchoConnection)
-        network.add_host(host)
-        socket = network.connect(1, 4840)
-        before = clock.now()
-        socket.write(b"x")
-        assert (clock.now() - before).total_seconds() > 0
-
     def test_zero_latency_does_not_advance(self):
         network = make_network()
         before = network.clock.now()
@@ -95,24 +94,23 @@ class TestSimNetwork:
 
 class TestNetworkView:
     def test_view_clock_is_isolated(self):
-        clock = SimClock(parse_utc("2020-02-09"))
-        latency = LatencyModel(DeterministicRng(1, "lat"), default_rtt_s=0.1)
-        network = SimNetwork(clock, latency)
+        network = SimNetwork(SimClock(parse_utc("2020-02-09")))
         host = SimHost(address=1, asn=64500)
-        host.listen(4840, EchoConnection)
+        host.listen(4840, StallingConnection)
         network.add_host(host)
 
-        view = network.task_view("task-1-4840")
+        view = network.task_view()
         before = network.clock.now()
         socket = view.connect(1, 4840)
         socket.write(b"x")
-        # The view's clock moved; the shared sweep clock did not.
-        assert view.clock.now() > before
+        assert socket.read() == b"late"
+        # The stall moved the view's clock; the sweep clock stood still.
+        assert (view.clock.now() - before).total_seconds() == 5.0
         assert network.clock.now() == before
 
     def test_view_sees_shared_hosts(self):
         network = make_network()
-        view = network.task_view("t")
+        view = network.task_view()
         assert view.syn(parse_ipv4("10.0.0.1"), 4840)
         assert view.host(parse_ipv4("10.0.0.1")) is not None
         assert len(view.hosts()) == 1
@@ -120,38 +118,6 @@ class TestNetworkView:
             view.connect(parse_ipv4("10.9.9.9"), 4840)
         with pytest.raises(ConnectionRefused):
             view.connect(parse_ipv4("10.0.0.1"), 80)
-
-    def test_latency_fork_is_deterministic_per_label(self):
-        base = LatencyModel(DeterministicRng(1, "lat"), default_rtt_s=0.1)
-        fork_a = base.fork("task-a")
-        first = [fork_a.rtt(64500) for _ in range(3)]
-        base.rtt(64500)  # drain the parent: forks must not care
-        fork_a_again = base.fork("task-a")
-        second = [fork_a_again.rtt(64500) for _ in range(3)]
-        fork_b = base.fork("task-b")
-        other = [fork_b.rtt(64500) for _ in range(3)]
-        # Same label -> same jitter stream regardless of draw order on
-        # the parent; different labels -> independent streams.
-        assert first == second
-        assert first != other
-
-    def test_zero_latency_fork_shares_instance(self):
-        latency = ZeroLatency()
-        assert latency.fork("anything") is latency
-
-    def test_fork_with_plain_random_never_shares_the_parent(self):
-        import random
-
-        base = LatencyModel(random.Random(1), default_rtt_s=0.1)
-        fork = base.fork("task-a")
-        assert fork.rng is not base.rng
-        # Deterministic per (parent state, label): repeating the fork
-        # before the parent draws again replays the same stream.
-        replay = base.fork("task-a")
-        assert [fork.rtt(1) for _ in range(3)] == [
-            replay.rtt(1) for _ in range(3)
-        ]
-        assert base.fork("task-a").rtt(1) != base.fork("task-b").rtt(1)
 
 
 class TestAsRegistry:

@@ -18,7 +18,6 @@ from repro.netsim.net import (
     SimNetwork,
     SimSocket,
 )
-from repro.netsim.latency import ZeroLatency
 from repro.transport.messages import TransportTimeout
 from repro.util.ipaddr import parse_ipv4
 from repro.util.simtime import SimClock, parse_utc
@@ -52,13 +51,7 @@ class AnsweringConnection:
 def make_socket(connection, stall_timeout_s=DEFAULT_STALL_TIMEOUT_S):
     clock = SimClock(parse_utc("2020-08-30"))
     return (
-        SimSocket(
-            connection,
-            clock,
-            ZeroLatency(),
-            asn=None,
-            stall_timeout_s=stall_timeout_s,
-        ),
+        SimSocket(connection, clock, stall_timeout_s=stall_timeout_s),
         clock,
     )
 

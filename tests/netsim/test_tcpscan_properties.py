@@ -167,7 +167,7 @@ class TestBlocklistAccounting:
             )
         ):
             outcome = campaign._probe_batch(
-                ProbeBatchTask(index, PORT, tuple(batch)), "2020-08-30"
+                ProbeBatchTask(index, PORT, tuple(batch))
             )
             probed += outcome.probed
             excluded += outcome.excluded

@@ -84,7 +84,7 @@ def test_replay_covers_all_three_pathologies(
     assert legacy.session is not None and legacy.session.success
 
 
-@pytest.mark.parametrize("backend", ["thread", "process", "async"])
+@pytest.mark.parametrize("backend", ["thread", "process"])
 def test_parallel_replay_is_byte_identical(
     committed_hostile_corpus, committed_hostile_digests, rsa_1024, backend
 ):

@@ -61,7 +61,7 @@ def test_replay_covers_all_three_outcomes(committed_corpus, rsa_1024):
     assert accessible[0].nodes is not None  # traversal was replayed
 
 
-@pytest.mark.parametrize("backend", ["thread", "process", "async"])
+@pytest.mark.parametrize("backend", ["thread", "process"])
 def test_parallel_replay_is_byte_identical(
     committed_corpus, committed_replay_digests, rsa_1024, backend
 ):

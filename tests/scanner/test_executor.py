@@ -10,8 +10,6 @@ from repro.deployments.spec import PopulationSpec, build_default_spec
 from repro.netsim.net import SimNetwork
 from repro.scanner.campaign import ScanCampaign
 from repro.scanner.executor import (
-    DEFAULT_ASYNC_CONCURRENCY,
-    AsyncScanExecutor,
     GrabTask,
     ProbeBatchTask,
     ProcessScanExecutor,
@@ -41,9 +39,8 @@ class TestSchedulingSemantics:
             SerialScanExecutor(),
             ThreadScanExecutor(4),
             ProcessScanExecutor(2),
-            AsyncScanExecutor(4),
         ],
-        ids=["serial", "thread", "process", "async"],
+        ids=["serial", "thread", "process"],
     )
     def test_every_task_grabbed_once(self, executor):
         tasks = [GrabTask(n, 4840) for n in (3, 1, 2, 1, 3)]  # dupes collapse
@@ -53,8 +50,8 @@ class TestSchedulingSemantics:
 
     @pytest.mark.parametrize(
         "executor",
-        [SerialScanExecutor(), ThreadScanExecutor(4), AsyncScanExecutor(4)],
-        ids=["serial", "thread", "async"],
+        [SerialScanExecutor(), ThreadScanExecutor(4)],
+        ids=["serial", "thread"],
     )
     def test_expand_feeds_pipeline_transitively(self, executor):
         # 1 -> 2 -> 3: tasks discovered from results are grabbed too,
@@ -68,9 +65,7 @@ class TestSchedulingSemantics:
         assert sorted(t.address for t, _ in results) == [1, 2, 3]
 
     @pytest.mark.parametrize(
-        "executor",
-        [ThreadScanExecutor(2), AsyncScanExecutor(2)],
-        ids=["thread", "async"],
+        "executor", [ThreadScanExecutor(2)], ids=["thread"]
     )
     def test_worker_errors_surface(self, executor):
         def failing_grab(task):
@@ -80,37 +75,16 @@ class TestSchedulingSemantics:
             executor.run([GrabTask(1, 4840)], failing_grab, _no_expand)
         assert isinstance(info.value.cause, ValueError)
 
-    def test_async_awaits_coroutine_grabs(self):
-        """A grab returning an awaitable is awaited on the loop — the
-        contract a real latency-bound (non-simulated) grabber uses."""
-
-        async def async_grab(task):
-            import asyncio
-
-            await asyncio.sleep(0)
-            return f"record-{task.address}:{task.port}"
-
-        results = AsyncScanExecutor(4).run(
-            [GrabTask(n, 4840) for n in (1, 2, 3)],
-            async_grab,
-            _no_expand,
-        )
-        assert sorted(r for _, r in results) == [
-            "record-1:4840",
-            "record-2:4840",
-            "record-3:4840",
-        ]
-
     def test_build_executor(self):
         assert build_executor("serial").name == "serial"
         assert build_executor("thread", 4).workers == 4
         assert build_executor("process", 2).name == "process"
-        assert build_executor("async", 4).name == "async"
         # One worker never justifies pool overhead.
         assert build_executor("thread", 1).name == "serial"
-        assert build_executor("async", 1).name == "serial"
         with pytest.raises(ValueError):
             build_executor("quantum")
+        with pytest.raises(ValueError):
+            build_executor("async", 4)
         with pytest.raises(ValueError):
             build_executor("thread", 0)
 
@@ -126,12 +100,6 @@ class TestSchedulingSemantics:
         assert resolve_executor("thread", None) == ("thread", cpus)
         assert resolve_executor("serial", None) == ("serial", 1)
         assert resolve_executor("thread", 2) == ("thread", 2)
-        # The event loop's default is in-flight connections, not cores.
-        assert resolve_executor("async", None) == (
-            "async",
-            DEFAULT_ASYNC_CONCURRENCY,
-        )
-        assert resolve_executor("async", 16) == ("async", 16)
         with pytest.raises(ValueError):
             resolve_executor("quantum", None)
         with pytest.raises(ValueError):
@@ -146,9 +114,8 @@ class TestSweepStaging:
         [
             SerialScanExecutor(),
             ThreadScanExecutor(4),
-            AsyncScanExecutor(4),
         ],
-        ids=["serial", "thread", "async"],
+        ids=["serial", "thread"],
     )
     def test_probe_batches_expand_into_grabs(self, executor):
         batches = [
@@ -175,9 +142,7 @@ class TestSweepStaging:
         assert len(probes) == 2
 
     @pytest.mark.parametrize(
-        "executor",
-        [ThreadScanExecutor(4), AsyncScanExecutor(4)],
-        ids=["thread", "async"],
+        "executor", [ThreadScanExecutor(4)], ids=["thread"]
     )
     def test_via_reference_never_steals_first_wave_keys(self, executor):
         """A fast follow-reference discovery must not claim an address
@@ -259,11 +224,6 @@ class TestBackendDeterminism:
 
     def test_process_pool_matches_serial(self):
         assert _canonical(_mini_sweep("process", 4)) == _canonical(
-            _mini_sweep("serial", 1)
-        )
-
-    def test_async_loop_matches_serial(self):
-        assert _canonical(_mini_sweep("async", 8)) == _canonical(
             _mini_sweep("serial", 1)
         )
 
@@ -484,9 +444,8 @@ class TestKeyboardInterrupt:
             SerialScanExecutor(),
             ThreadScanExecutor(4),
             ProcessScanExecutor(2),
-            AsyncScanExecutor(8),
         ],
-        ids=["serial", "thread", "process", "async"],
+        ids=["serial", "thread", "process"],
     )
     def test_interrupt_reraises_promptly(self, executor):
         import multiprocessing

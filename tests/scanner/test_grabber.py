@@ -9,9 +9,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.client import ClientIdentity
 from repro.netsim.net import SimHost, SimNetwork
 from repro.scanner.campaign import ScanCampaign, ScannerIdentity, parse_endpoint_url
-from repro.scanner.grabber import grab_host
+from repro.scanner.grabber import (
+    _attempt_anonymous_session,
+    _probe_secure_channel,
+    grab_host,
+)
 from repro.scanner.limits import TraversalBudget
-from repro.scanner.records import HostRecord
+from repro.scanner.records import EndpointRecord, HostRecord
 from repro.secure.policies import POLICY_BASIC256SHA256, POLICY_NONE
 from repro.server import EndpointConfig, ServerBehavior
 from repro.transport.messages import TransportError
@@ -679,6 +683,61 @@ class TestErrorTruthfulness:
         assert data["error_category"] == "timeout"
         assert data["session"]["error_category"] == "refused"
         assert HostRecord.from_json_dict(data) == record
+
+
+class TestImpossibleEndpointPairs:
+    """An advertised (policy, mode) pair that no channel can run is
+    skipped by the grab steps: it neither aborts the grab nor is
+    recorded as a channel opened at that pair."""
+
+    def _record_advertising(self, network, identity, rng, mode, policy):
+        record = grab_host(
+            network, parse_ipv4("10.0.0.1"), 4840, identity, rng,
+            traverse=False,
+        )
+        record.endpoints = [
+            EndpointRecord(
+                endpoint_url="opc.tcp://10.0.0.1:4840/",
+                security_mode=int(mode),
+                security_policy_uri=policy.uri,
+                token_types=[int(UserTokenType.ANONYMOUS)],
+            )
+        ]
+        record.secure_channel = None
+        return record
+
+    @pytest.mark.parametrize(
+        "mode",
+        [MessageSecurityMode.NONE, MessageSecurityMode.INVALID],
+        ids=["none", "invalid"],
+    )
+    def test_secure_policy_without_sign_is_not_attempted(
+        self, network, scanner_identity, scan_rng, mode
+    ):
+        record = self._record_advertising(
+            network, scanner_identity, scan_rng, mode, POLICY_BASIC256SHA256
+        )
+        session = _attempt_anonymous_session(
+            network, parse_ipv4("10.0.0.1"), 4840, scanner_identity,
+            scan_rng, record, TraversalBudget(),
+        )
+        assert not session.attempted
+
+    @pytest.mark.parametrize(
+        "mode",
+        [MessageSecurityMode.SIGN, MessageSecurityMode.INVALID],
+        ids=["sign", "invalid"],
+    )
+    def test_none_policy_in_another_mode_is_not_probed(
+        self, network, scanner_identity, scan_rng, mode
+    ):
+        record = self._record_advertising(
+            network, scanner_identity, scan_rng, mode, POLICY_NONE
+        )
+        assert _probe_secure_channel(
+            network, parse_ipv4("10.0.0.1"), 4840, scanner_identity,
+            scan_rng, record,
+        ) == (None, None)
 
 
 def _none_only_server(rng, keys):

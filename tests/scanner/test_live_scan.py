@@ -1,6 +1,6 @@
 """Live-lane loopback tests: the in-repo engine behind a real socket.
 
-The central assertion: one live grab through the async executor
+The central assertion: one live grab through the thread executor
 produces the same record a simulated grab of the same deployment
 profile produces — the transport lane changes how bytes move, never
 what the scanner records.
@@ -21,7 +21,7 @@ from repro.scanner.campaign import (
     parse_target_line,
 )
 from repro.scanner.ethics import EthicsViolation, LiveScanGate
-from repro.scanner.executor import AsyncScanExecutor
+from repro.scanner.executor import ThreadScanExecutor
 from repro.scanner.grabber import grab_host
 from repro.scanner.limits import ScanRateLimiter, TraversalBudget
 from repro.server import TcpServerHost
@@ -118,7 +118,7 @@ class TestLiveMatchesSimulated:
                 config=LiveScanConfig(workers=4, traverse=True),
                 limiter=_fast_limiter(),
                 budget=budget,
-                executor=AsyncScanExecutor(4),
+                executor=ThreadScanExecutor(4),
             )
             snapshot = campaign.run([(LOOPBACK, port)])
 
@@ -168,7 +168,7 @@ class TestLiveMatchesSimulated:
                 live_rng.substream("negotiate"),
                 config=LiveScanConfig(workers=2, traverse=False),
                 limiter=_fast_limiter(),
-                executor=AsyncScanExecutor(2),
+                executor=ThreadScanExecutor(2),
             )
             snapshot = campaign.run([(LOOPBACK, port)])
         live_record = snapshot.records[0]

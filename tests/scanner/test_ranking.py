@@ -22,6 +22,7 @@ from repro.secure.policies import (
 )
 from repro.uabin.enums import MessageSecurityMode, UserTokenType
 
+INVALID = int(MessageSecurityMode.INVALID)
 N = int(MessageSecurityMode.NONE)
 S = int(MessageSecurityMode.SIGN)
 SE = int(MessageSecurityMode.SIGN_AND_ENCRYPT)
@@ -122,3 +123,25 @@ class TestWeakestAnonymous:
         second = _ep(N, POLICY_NONE)
         endpoint, _ = weakest_anonymous_endpoint([first, second])
         assert endpoint is first
+
+
+class TestImpossiblePairs:
+    def test_both_pickers_skip_pairs_no_channel_can_run(self):
+        """Policy None cannot sign; a secure policy cannot run in mode
+        None; mode Invalid runs with no policy.  No such pair may be
+        ranked, let alone picked."""
+        impossible = [
+            _ep(S, POLICY_NONE),
+            _ep(INVALID, POLICY_NONE),
+            _ep(N, POLICY_BASIC256SHA256),
+            _ep(INVALID, POLICY_BASIC256SHA256),
+        ]
+        assert most_secure_endpoint(impossible) is None
+        assert weakest_anonymous_endpoint(impossible) is None
+        valid = _ep(SE, POLICY_BASIC128RSA15)
+        endpoints = [*impossible, valid]
+        assert most_secure_endpoint(endpoints) == (valid, POLICY_BASIC128RSA15)
+        assert weakest_anonymous_endpoint(endpoints) == (
+            valid,
+            POLICY_BASIC128RSA15,
+        )

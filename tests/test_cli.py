@@ -153,7 +153,7 @@ class TestScanCommand:
     def test_loopback_scan_end_to_end(
         self, tmp_path, monkeypatch, capsys, rsa_1024
     ):
-        """The whole CLI path: identity, gates, async executor, real
+        """The whole CLI path: identity, gates, thread executor, real
         socket, JSONL output."""
         from repro.dataset.io import read_snapshots
         from repro.secure.policies import POLICY_NONE

@@ -80,7 +80,7 @@ def sim_capture(capture_rng, rsa_512):
     network = _sim_network(server)
     identity = _scanner(capture_rng, rsa_512)
     capture = TargetCapture(address=ADDRESS, port=4840)
-    wrapped = CaptureNetwork(network.task_view("capture"), capture.events)
+    wrapped = CaptureNetwork(network.task_view(), capture.events)
     record = grab_host(
         wrapped,
         ADDRESS,

@@ -82,7 +82,6 @@ class TestBlockingSocketTransport:
     def test_sim_socket_satisfies_transport_protocol(self):
         from repro.netsim.net import SimSocket
         from repro.util.simtime import SimClock
-        from repro.netsim.latency import ZeroLatency
 
         class _NullConnection:
             closed = False
@@ -90,9 +89,7 @@ class TestBlockingSocketTransport:
             def receive(self, data: bytes) -> bytes:
                 return b""
 
-        socket = SimSocket(
-            _NullConnection(), SimClock(), ZeroLatency(), None
-        )
+        socket = SimSocket(_NullConnection(), SimClock())
         assert isinstance(socket, Transport)
 
     def test_read_timeout_raises(self):
