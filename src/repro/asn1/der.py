@@ -284,10 +284,14 @@ def _encode_value(value) -> tuple[int, bytes]:
         return TAG_IA5_STRING, value.text.encode("ascii")
     if isinstance(value, UtcTime):
         moment = value.moment.astimezone(timezone.utc)
+        if not 1950 <= moment.year <= 2049:
+            raise Asn1Error(f"UtcTime cannot represent year {moment.year}")
         return TAG_UTC_TIME, moment.strftime(_UTC_FMT).encode("ascii")
     if isinstance(value, GeneralizedTime):
         moment = value.moment.astimezone(timezone.utc)
-        return TAG_GENERALIZED_TIME, moment.strftime(_GENERALIZED_FMT).encode("ascii")
+        # strftime's %Y does not zero-pad years below 1000.
+        text = f"{moment.year:04d}{moment:%m%d%H%M%S}Z"
+        return TAG_GENERALIZED_TIME, text.encode("ascii")
     if isinstance(value, Sequence):
         return TAG_SEQUENCE, b"".join(encode_der(item) for item in value)
     if isinstance(value, SetOf):

@@ -25,7 +25,7 @@ from repro.client.errors import (
     TransportRejectedError,
     UaClientError,
 )
-from repro.secure.channel import ClientSecureChannel, SecureChannelError
+from repro.secure.channel import MALFORMED_PEER_BYTES, ClientSecureChannel
 from repro.secure.negotiation import ChannelSecurity
 from repro.transport.connection import FrameReader, encode_frame
 from repro.transport.messages import (
@@ -43,7 +43,7 @@ from repro.uabin.builtin import LocalizedText
 from repro.uabin.nodeid import NodeId
 from repro.uabin.registry import make_extension_object
 from repro.uabin.statuscodes import lookup_status
-from repro.uabin.structs import DecodingError, RequestHeader
+from repro.uabin.structs import RequestHeader
 from repro.uabin.types_attribute import ReadRequest, ReadValueId
 from repro.uabin.types_channel import (
     CloseSecureChannelRequest,
@@ -60,22 +60,7 @@ from repro.uabin.types_session import (
     UserNameIdentityToken,
 )
 from repro.uabin.types_view import BrowseDescription, BrowseRequest
-from repro.util.binary import NotEnoughData
-from repro.x509.certificate import Certificate, CertificateError
-
-#: What decoding a malformed reply raises, from an ACK body up to a
-#: protected service body (nesting, such as DiagnosticInfo chains, can
-#: exhaust the recursion limit).  Bad bytes are the peer's protocol
-#: fault: :meth:`UaClient._decode` turns each into a
-#: :class:`UaClientError`.
-_MALFORMED_REPLY = (
-    CertificateError,
-    DecodingError,
-    NotEnoughData,
-    RecursionError,
-    SecureChannelError,
-    ValueError,
-)
+from repro.x509.certificate import Certificate
 
 
 @dataclass(frozen=True)
@@ -163,7 +148,7 @@ class UaClient:
         decoder's own message."""
         try:
             return decode(body)
-        except _MALFORMED_REPLY as exc:
+        except MALFORMED_PEER_BYTES as exc:
             raise UaClientError(str(exc)) from exc
 
     def _expect(self, expected_type: MessageType):

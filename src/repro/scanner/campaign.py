@@ -318,13 +318,11 @@ class LiveNetwork:
         connection_deadline_s: float = DEFAULT_CONNECTION_DEADLINE_S,
         limiter: ScanRateLimiter | None = None,
         clock=None,
-        loop=None,
     ):
         self._connect_timeout_s = connect_timeout_s
         self._read_timeout_s = read_timeout_s
         self._connection_deadline_s = connection_deadline_s
         self._limiter = limiter
-        self._loop = loop
         self.clock = clock or WallClock()
 
     def host(self, address: int):
@@ -345,7 +343,6 @@ class LiveNetwork:
                 connect_timeout_s=self._connect_timeout_s,
                 read_timeout_s=self._read_timeout_s,
                 connection_deadline_s=self._connection_deadline_s,
-                loop=self._loop,
             )
         except TransportTimeout as exc:
             error = HostDown(f"connect to {host}:{port} timed out")

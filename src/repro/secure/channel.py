@@ -31,18 +31,37 @@ from repro.uabin.builtin import read_bytestring, read_string, write_bytestring, 
 from repro.uabin.enums import MessageSecurityMode
 from repro.uabin.nodeid import NodeId
 from repro.uabin.registry import encode_body_nodeid, lookup_struct
-from repro.uabin.structs import UaStruct
+from repro.uabin.structs import DecodingError, UaStruct
 from repro.uabin.types_channel import (
     OpenSecureChannelRequest,
     OpenSecureChannelResponse,
 )
-from repro.util.binary import BinaryReader, BinaryWriter
-from repro.x509.certificate import Certificate, parse_certificate
+from repro.util.binary import BinaryReader, BinaryWriter, NotEnoughData
+from repro.x509.certificate import (
+    Certificate,
+    CertificateError,
+    parse_certificate,
+)
 from repro.x509.fingerprint import sha1_thumbprint
 
 
 class SecureChannelError(Exception):
     """Security processing failed (bad signature, bad padding, ...)."""
+
+
+#: What decoding malformed peer bytes raises, from a transport body up
+#: to a protected service body (nesting, such as DiagnosticInfo chains,
+#: can exhaust the recursion limit).  Bad bytes are the peer's fault:
+#: the client records each as a protocol error, and the server answers
+#: each with an ERR frame.
+MALFORMED_PEER_BYTES = (
+    CertificateError,
+    DecodingError,
+    NotEnoughData,
+    RecursionError,
+    SecureChannelError,
+    ValueError,
+)
 
 
 @dataclass

@@ -11,7 +11,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.secure.channel import SecureChannelError, ServerSecureChannel
+from repro.secure.channel import (
+    MALFORMED_PEER_BYTES,
+    SecureChannelError,
+    ServerSecureChannel,
+)
 from repro.secure.negotiation import sign_nonce_proof, verify_nonce_proof
 from repro.secure.policies import POLICY_NONE, SecurityPolicy, policy_by_uri
 from repro.server.access import Role
@@ -633,6 +637,9 @@ class ServerConnection:
                     break
         except TransportError as exc:
             out.extend(self._error_frame(StatusCodes.BadTcpMessageTypeInvalid, str(exc)))
+            self._closed = True
+        except MALFORMED_PEER_BYTES as exc:
+            out.extend(self._error_frame(StatusCodes.BadDecodingError, str(exc)))
             self._closed = True
         return bytes(out)
 

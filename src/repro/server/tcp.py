@@ -2,23 +2,22 @@
 
 The engine's :class:`~repro.server.engine.ServerConnection` is a
 synchronous bytes-in/bytes-out state machine — exactly what the
-network simulator feeds.  This module binds the same machine to an
-asyncio TCP server so the live transport lane can be exercised
-end-to-end against the in-repo engine: loopback tests, and authorized
-lab deployments.  It is not an Internet-facing server.
+network simulator feeds.  This module binds the same machine to a
+listening socket, with one accept thread and one blocking thread per
+connection, so the live transport lane can be exercised end-to-end
+against the in-repo engine: loopback tests, and authorized lab
+deployments.  It is not an Internet-facing server.
 """
 
 from __future__ import annotations
 
-import asyncio
-from concurrent.futures import TimeoutError as FutureTimeoutError
+import socket
+import threading
 from contextlib import suppress
 
 from repro.server.engine import UaServer
-from repro.transport.socket_io import shared_io_loop
 
 _READ_CHUNK = 65536
-_CONTROL_TIMEOUT_S = 10.0
 
 
 class TcpServerHost:
@@ -32,10 +31,9 @@ class TcpServerHost:
     behind a real port (the 0.5 ‰-path junk responder) next to a real
     engine.
 
-    Runs on the shared transport I/O loop by default, so a loopback
-    test multiplexes client and server bytes on one event loop —
-    a genuine socket round-trip without extra threads.  Use as a
-    context manager::
+    :meth:`stop` closes the listener at once; connections already
+    accepted run on until their peer hangs up.  Use as a context
+    manager::
 
         with TcpServerHost(server) as (host, port):
             ...  # connect to (host, port)
@@ -46,7 +44,6 @@ class TcpServerHost:
         server: UaServer,
         host: str = "127.0.0.1",
         port: int = 0,
-        loop: asyncio.AbstractEventLoop | None = None,
     ):
         factory = getattr(server, "new_connection", None)
         if factory is None:
@@ -59,61 +56,52 @@ class TcpServerHost:
         self._connection_factory = factory
         self._host = host
         self._port = port
-        self._loop = loop
-        self._server: asyncio.Server | None = None
+        self._listener: socket.socket | None = None
         self.address: tuple[str, int] | None = None
 
     def start(self) -> tuple[str, int]:
         """Bind and listen; returns the bound ``(host, port)``."""
-        if self._server is not None:
+        if self._listener is not None:
             raise RuntimeError("already started")
-        loop = self._loop = self._loop or shared_io_loop()
-        future = asyncio.run_coroutine_threadsafe(
-            asyncio.start_server(self._handle, self._host, self._port),
-            loop,
-        )
-        try:
-            self._server = future.result(_CONTROL_TIMEOUT_S)
-        except FutureTimeoutError:
-            future.cancel()
-            raise RuntimeError("I/O loop did not bind the server") from None
-        sockname = self._server.sockets[0].getsockname()
-        self.address = (sockname[0], sockname[1])
+        listener = socket.create_server((self._host, self._port))
+        self._listener = listener
+        self.address = listener.getsockname()[:2]
+        threading.Thread(
+            target=self._accept, args=(listener,), daemon=True
+        ).start()
         return self.address
 
     def stop(self) -> None:
-        if self._server is None:
+        listener, self._listener = self._listener, None
+        if listener is None:
             return
-        future = asyncio.run_coroutine_threadsafe(
-            self._shutdown(), self._loop
-        )
-        with suppress(FutureTimeoutError):
-            future.result(_CONTROL_TIMEOUT_S)
-        self._server = None
+        # On Linux, close() alone leaves a blocked accept() listening;
+        # shutdown() wakes it and refuses new connections.
+        with suppress(OSError):
+            listener.shutdown(socket.SHUT_RDWR)
+        listener.close()
 
-    async def _shutdown(self) -> None:
-        self._server.close()
-        await self._server.wait_closed()
+    def _accept(self, listener: socket.socket) -> None:
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return  # stop() shut the listener down
+            threading.Thread(
+                target=self._serve, args=(conn,), daemon=True
+            ).start()
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _serve(self, conn: socket.socket) -> None:
         connection = self._connection_factory()
-        try:
+        # A peer reset ends the exchange: there is nothing to answer.
+        with conn, suppress(OSError):
             while not connection.closed:
-                data = await reader.read(_READ_CHUNK)
+                data = conn.recv(_READ_CHUNK)
                 if not data:
                     break
                 response = connection.receive(data)
                 if response:
-                    writer.write(response)
-                    await writer.drain()
-        except (ConnectionError, OSError):
-            pass  # peer reset mid-exchange; nothing to answer
-        finally:
-            writer.close()
-            with suppress(ConnectionError, OSError):
-                await writer.wait_closed()
+                    conn.sendall(response)
 
     def __enter__(self) -> tuple[str, int]:
         return self.start()

@@ -22,12 +22,10 @@ from repro.transport.chunks import (
 )
 from repro.transport.connection import FrameReader, encode_frame
 from repro.transport.socket_io import (
-    AsyncSocketTransport,
-    BlockingSocketTransport,
+    SocketTransport,
     Transport,
     WallClock,
     connect_blocking,
-    shared_io_loop,
 )
 from repro.transport.capture import (
     CaptureCorpus,
@@ -48,8 +46,6 @@ from repro.transport.replay import (
 
 __all__ = [
     "AcknowledgeMessage",
-    "AsyncSocketTransport",
-    "BlockingSocketTransport",
     "CaptureCorpus",
     "CaptureFormatError",
     "CaptureNetwork",
@@ -66,6 +62,7 @@ __all__ = [
     "ReplayMismatch",
     "ReplayNetwork",
     "ReplayTransport",
+    "SocketTransport",
     "TargetCapture",
     "Transport",
     "TransportError",
@@ -74,7 +71,6 @@ __all__ = [
     "connect_blocking",
     "encode_frame",
     "read_corpus",
-    "shared_io_loop",
     "split_into_chunks",
     "write_corpus",
 ]

@@ -108,8 +108,8 @@ class CaptureTransport:
     """A :class:`~repro.transport.socket_io.Transport` that records.
 
     Wraps any transport — :class:`~repro.netsim.net.SimSocket` or a
-    live :class:`~repro.transport.socket_io.BlockingSocketTransport` —
-    and mirrors every operation into the event stream: payload bytes
+    live :class:`~repro.transport.socket_io.SocketTransport` — and
+    mirrors every operation into the event stream: payload bytes
     for write/read, the failure category and message for operations
     that raise.  The recorded error *message* matters as much as the
     category: the scanner copies ``str(exc)`` into record fields, so
@@ -135,8 +135,8 @@ class CaptureTransport:
         from repro.client.errors import categorize_error
 
         # ``counted``: how many bytes the failing operation added to
-        # the transport's counter before raising.  Live transports
-        # count a write before the drain stalls but not before a
+        # the transport's counter before raising.  The live transport
+        # counts a write before the send stalls but not before a
         # deadline check; the simulator refuses before counting.  The
         # record's ``scan_bytes`` copies the counter even on failed
         # grabs, so replay must reproduce the exact observed delta —

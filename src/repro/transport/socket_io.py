@@ -1,4 +1,4 @@
-"""Live socket transport: asyncio streams behind a blocking facade.
+"""Live socket transport: one blocking TCP socket per connection.
 
 The protocol stack above this module is synchronous and stream-shaped:
 :class:`~repro.client.client.UaClient` writes request bytes and reads
@@ -10,16 +10,13 @@ without the stack noticing the difference:
 
 * :class:`Transport` names the seam: the duplex-stream surface both
   the simulated :class:`~repro.netsim.net.SimSocket` and the live
-  transports satisfy.  Everything above it records *what the scanner
-  saw*; everything below decides *how bytes move*.
-* :class:`AsyncSocketTransport` is the live implementation proper:
-  asyncio streams with per-operation timeouts and an optional
-  per-connection deadline.
-* :class:`BlockingSocketTransport` is the blocking wrapper that lets
-  the synchronous client drive an asyncio connection from any worker
-  thread.  All live connections multiplex on one process-wide I/O
-  event loop (:func:`shared_io_loop`); the scan executor only decides
-  how many grabs are in flight.
+  :class:`SocketTransport` satisfy.  Everything above it records
+  *what the scanner saw*; everything below decides *how bytes move*.
+* :class:`SocketTransport` is the live implementation: a blocking
+  socket with a per-operation timeout clipped to an optional
+  per-connection deadline.  There is no event loop: the scan
+  executor's worker thread that runs a grab blocks on its own
+  socket, so the executor alone decides how many grabs are in flight.
 * :class:`WallClock` gives the live lane the simulator's clock
   interface: ``now`` reads real UTC and ``advance`` sleeps, so the
   traversal's inter-request pacing becomes real pacing on the wire.
@@ -27,11 +24,8 @@ without the stack noticing the difference:
 
 from __future__ import annotations
 
-import asyncio
-import threading
+import socket
 import time
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from contextlib import suppress
 from datetime import datetime, timezone
 from typing import Protocol, runtime_checkable
 
@@ -47,9 +41,6 @@ DEFAULT_READ_TIMEOUT_S = 5.0
 DEFAULT_CONNECTION_DEADLINE_S = 60.0
 
 _READ_CHUNK = 65536
-#: Extra seconds a blocking caller waits beyond the transport's own
-#: timeout before declaring the I/O loop unresponsive.
-_RESULT_SLACK_S = 10.0
 
 
 @runtime_checkable
@@ -64,7 +55,7 @@ class Transport(Protocol):
 
     Three lanes satisfy it: the simulator
     (:class:`~repro.netsim.net.SimSocket`), live sockets
-    (:class:`BlockingSocketTransport`), and recorded traffic
+    (:class:`SocketTransport`), and recorded traffic
     (:class:`~repro.transport.replay.ReplayTransport`).  The protocol
     is runtime-checkable, so a structural match is enough::
 
@@ -112,175 +103,68 @@ class WallClock:
         return self.now()
 
 
-class AsyncSocketTransport:
-    """One live TCP connection on asyncio streams.
+class SocketTransport:
+    """One live TCP connection over a blocking socket.
 
     Every operation enforces the per-operation timeout *and* the
-    per-connection deadline set at :meth:`open` time; both surface as
+    per-connection deadline; both surface as
     :class:`~repro.transport.messages.TransportTimeout`, which the
     scanner records as a ``timeout`` rather than mislabelling the host
-    as "not OPC UA".
+    as "not OPC UA".  A write is counted before it is sent, but only
+    after the deadline check, so a write refused by an exhausted
+    deadline counts nothing.  Any other ``OSError`` (a reset, a broken
+    pipe) propagates for the caller's failure taxonomy.
     """
 
     def __init__(
         self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
+        sock: socket.socket,
         read_timeout_s: float = DEFAULT_READ_TIMEOUT_S,
         deadline: float | None = None,
     ):
-        self._reader = reader
-        self._writer = writer
+        self._socket = sock
         self.read_timeout_s = read_timeout_s
         self._deadline = deadline
         self.bytes_sent = 0
         self.bytes_received = 0
         self.closed = False
 
-    @classmethod
-    async def open(
-        cls,
-        host: str,
-        port: int,
-        connect_timeout_s: float = DEFAULT_CONNECT_TIMEOUT_S,
-        read_timeout_s: float = DEFAULT_READ_TIMEOUT_S,
-        connection_deadline_s: float | None = DEFAULT_CONNECTION_DEADLINE_S,
-    ) -> "AsyncSocketTransport":
-        try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(host, port), connect_timeout_s
-            )
-        except asyncio.TimeoutError:
-            raise TransportTimeout(
-                f"connect to {host}:{port} timed out "
-                f"after {connect_timeout_s:g}s"
-            ) from None
-        deadline = (
-            time.monotonic() + connection_deadline_s
-            if connection_deadline_s is not None
-            else None
-        )
-        return cls(reader, writer, read_timeout_s, deadline)
-
-    def _op_timeout(self) -> float:
+    def _arm_timeout(self) -> float:
         timeout = self.read_timeout_s
         if self._deadline is not None:
             remaining = self._deadline - time.monotonic()
             if remaining <= 0:
                 raise TransportTimeout("connection deadline exhausted")
             timeout = min(timeout, remaining)
+        self._socket.settimeout(timeout)
         return timeout
 
-    async def write(self, data: bytes) -> None:
+    def write(self, data: bytes) -> None:
         if self.closed:
             raise TransportError("transport is closed")
-        timeout = self._op_timeout()
-        self._writer.write(data)
+        timeout = self._arm_timeout()
         self.bytes_sent += len(data)
         try:
-            await asyncio.wait_for(self._writer.drain(), timeout)
-        except asyncio.TimeoutError:
-            raise TransportTimeout(
-                f"write stalled for {timeout:g}s"
-            ) from None
+            self._socket.sendall(data)
+        except TimeoutError:
+            raise TransportTimeout(f"write stalled for {timeout:g}s") from None
 
-    async def read(self) -> bytes:
+    def read(self) -> bytes:
         if self.closed:
             return b""
-        timeout = self._op_timeout()
+        timeout = self._arm_timeout()
         try:
-            data = await asyncio.wait_for(
-                self._reader.read(_READ_CHUNK), timeout
-            )
-        except asyncio.TimeoutError:
-            raise TransportTimeout(
-                f"no data within {timeout:g}s"
-            ) from None
+            data = self._socket.recv(_READ_CHUNK)
+        except TimeoutError:
+            raise TransportTimeout(f"no data within {timeout:g}s") from None
         self.bytes_received += len(data)
         return data
 
-    async def close(self) -> None:
+    def close(self) -> None:
         if self.closed:
             return
         self.closed = True
-        self._writer.close()
-        with suppress(OSError, asyncio.TimeoutError):
-            await asyncio.wait_for(self._writer.wait_closed(), 5)
-
-
-class BlockingSocketTransport:
-    """Blocking :class:`Transport` facade over an asyncio connection.
-
-    Each call schedules the corresponding coroutine on the I/O loop
-    and blocks the calling thread on its result, so the synchronous
-    stack (``UaClient``, grabber, traversal) drives a real socket
-    without knowing about asyncio.  Must never be called from the I/O
-    loop's own thread — that would deadlock the loop on itself.
-    """
-
-    def __init__(
-        self, inner: AsyncSocketTransport, loop: asyncio.AbstractEventLoop
-    ):
-        self._inner = inner
-        self._loop = loop
-
-    @property
-    def bytes_sent(self) -> int:
-        return self._inner.bytes_sent
-
-    @property
-    def bytes_received(self) -> int:
-        return self._inner.bytes_received
-
-    @property
-    def closed(self) -> bool:
-        return self._inner.closed
-
-    def _call(self, coro, budget_s: float):
-        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
-        try:
-            return future.result(budget_s + _RESULT_SLACK_S)
-        except FutureTimeoutError:
-            future.cancel()
-            raise TransportTimeout(
-                "I/O loop unresponsive for "
-                f"{budget_s + _RESULT_SLACK_S:g}s"
-            ) from None
-
-    def write(self, data: bytes) -> None:
-        self._call(self._inner.write(data), self._inner.read_timeout_s)
-
-    def read(self) -> bytes:
-        return self._call(self._inner.read(), self._inner.read_timeout_s)
-
-    def close(self) -> None:
-        with suppress(TransportError, OSError):
-            self._call(self._inner.close(), 5)
-
-
-_IO_LOOP: asyncio.AbstractEventLoop | None = None
-_IO_LOOP_LOCK = threading.Lock()
-
-
-def shared_io_loop() -> asyncio.AbstractEventLoop:
-    """The process-wide I/O event loop (daemon thread, lazily started).
-
-    All live connections multiplex here regardless of which scan
-    executor drives the campaign: the executor bounds how many grabs
-    are in flight, while this loop services their socket I/O.  The
-    loopback server host reuses it too, so tests exercise a genuine
-    client/server byte exchange on one loop.
-    """
-    global _IO_LOOP
-    with _IO_LOOP_LOCK:
-        if _IO_LOOP is None or _IO_LOOP.is_closed():
-            loop = asyncio.new_event_loop()
-            thread = threading.Thread(
-                target=loop.run_forever, name="repro-io-loop", daemon=True
-            )
-            thread.start()
-            _IO_LOOP = loop
-    return _IO_LOOP
+        self._socket.close()
 
 
 def connect_blocking(
@@ -289,30 +173,23 @@ def connect_blocking(
     connect_timeout_s: float = DEFAULT_CONNECT_TIMEOUT_S,
     read_timeout_s: float = DEFAULT_READ_TIMEOUT_S,
     connection_deadline_s: float | None = DEFAULT_CONNECTION_DEADLINE_S,
-    loop: asyncio.AbstractEventLoop | None = None,
-) -> BlockingSocketTransport:
-    """Open a live connection and wrap it for synchronous callers.
+) -> SocketTransport:
+    """Open a live connection for synchronous callers.
 
-    Raises :class:`TransportTimeout` when the connect deadline
-    expires, and propagates ``OSError`` (refusal, unreachable network)
-    for the caller to map into its own failure taxonomy.
+    Raises :class:`TransportTimeout` when the connect timeout expires,
+    and propagates any other ``OSError`` (refusal, unreachable
+    network) for the caller to map into its own failure taxonomy.
     """
-    loop = loop or shared_io_loop()
-    future = asyncio.run_coroutine_threadsafe(
-        AsyncSocketTransport.open(
-            host,
-            port,
-            connect_timeout_s=connect_timeout_s,
-            read_timeout_s=read_timeout_s,
-            connection_deadline_s=connection_deadline_s,
-        ),
-        loop,
-    )
     try:
-        inner = future.result(connect_timeout_s + _RESULT_SLACK_S)
-    except FutureTimeoutError:
-        future.cancel()
+        sock = socket.create_connection((host, port), connect_timeout_s)
+    except TimeoutError:
         raise TransportTimeout(
-            f"connect to {host}:{port} timed out"
+            f"connect to {host}:{port} timed out "
+            f"after {connect_timeout_s:g}s"
         ) from None
-    return BlockingSocketTransport(inner, loop)
+    deadline = (
+        time.monotonic() + connection_deadline_s
+        if connection_deadline_s is not None
+        else None
+    )
+    return SocketTransport(sock, read_timeout_s, deadline)

@@ -10,7 +10,7 @@ subject), the ApplicationURI SAN, and the raw DER for thumbprinting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 
 from repro.asn1 import der, oids
 from repro.crypto.cache import KeyedOpCache
@@ -135,13 +135,21 @@ def build_tbs_certificate(
             serial_number,
             _signature_algorithm(hash_name),
             issuer.to_der_value(),
-            der.Sequence([der.UtcTime(not_before), der.UtcTime(not_after)]),
+            der.Sequence([_validity_time(not_before), _validity_time(not_after)]),
             subject.to_der_value(),
             _public_key_to_spki(public_key),
             der.ContextTag(3, inner=der.Sequence(extensions)),
         ]
     )
     return der.encode_der(tbs)
+
+
+def _validity_time(moment: datetime):
+    """RFC 5280 §4.1.2.5: UTCTime for 1950–2049, GeneralizedTime
+    otherwise."""
+    if 1950 <= moment.astimezone(timezone.utc).year <= 2049:
+        return der.UtcTime(moment)
+    return der.GeneralizedTime(moment)
 
 
 def assemble_certificate(tbs_der: bytes, hash_name: str, signature: bytes) -> bytes:
@@ -246,9 +254,7 @@ def _parse_certificate(raw_der: bytes) -> Certificate:
 
 
 def _time_value(value) -> datetime:
-    if isinstance(value, der.UtcTime):
-        return value.moment
-    if isinstance(value, der.GeneralizedTime):
+    if isinstance(value, (der.UtcTime, der.GeneralizedTime)):
         return value.moment
     raise CertificateError("unsupported validity time encoding")
 

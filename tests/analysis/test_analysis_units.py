@@ -372,3 +372,26 @@ class TestEarlyValidityYears:
         stats = analyze_anomalies([snapshot])
         assert stats.not_yet_valid_certificates == 0
         assert stats.expired_certificates == 0
+
+
+class TestValidityPast2049:
+    def test_certificate_valid_until_2055(self, rsa_768):
+        """From 2050 on a validity time is a GeneralizedTime (RFC 5280
+        §4.1.2.5); a two-digit UTCTime would read back as 1955 and
+        count the certificate expired."""
+        not_before = parse_utc("2020-01-01")
+        cert = make_self_signed(
+            rsa_768,
+            common_name="device",
+            application_uri="urn:acme:device",
+            not_before=not_before,
+            hash_name="sha256",
+            rng=DeterministicRng(2055, "year-2055"),
+            valid_days=(parse_utc("2055-01-01") - not_before).days,
+        )
+        info = CertificateInfo.from_der(cert.raw_der)
+        assert info.not_after == "2055-01-01T00:00:00"
+        snapshot = MeasurementSnapshot(
+            date="2020-08-30", records=[make_record(cert=info)]
+        )
+        assert analyze_anomalies([snapshot]).expired_certificates == 0

@@ -105,6 +105,20 @@ class TestStructures:
         decoded = der.decode_der(der.encode_der(der.UtcTime(moment)))
         assert decoded.moment == moment
 
+    @pytest.mark.parametrize("year", [1949, 2050])
+    def test_utc_time_refuses_a_year_it_cannot_represent(self, year):
+        """Two digits cover 1950–2049 (RFC 5280 §4.1.2.5.1); any other
+        year would read back a century off."""
+        moment = datetime(year, 1, 1, tzinfo=timezone.utc)
+        with pytest.raises(der.Asn1Error):
+            der.encode_der(der.UtcTime(moment))
+
+    def test_generalized_time_year_5_round_trip(self):
+        moment = datetime(5, 1, 1, tzinfo=timezone.utc)
+        encoded = der.encode_der(der.GeneralizedTime(moment))
+        assert encoded[2:] == b"00050101000000Z"
+        assert der.decode_der(encoded).moment == moment
+
 
 class TestMalformedInput:
     def test_trailing_bytes_rejected(self):

@@ -81,6 +81,21 @@ _READ_RESPONSE_ID = encode_body_nodeid(ReadResponse).to_bytes()
 _READ_RESPONSE_AT = _BODY_AT + len(_READ_RESPONSE_ID)
 
 
+class TamperedReplies:
+    """A server connection that passes every reply through ``tamper``."""
+
+    def __init__(self, connection, tamper):
+        self._connection = connection
+        self._tamper = tamper
+
+    @property
+    def closed(self):
+        return self._connection.closed
+
+    def receive(self, data: bytes) -> bytes:
+        return self._tamper(self._connection.receive(data))
+
+
 class TamperedReadResponses:
     """A server connection that passes every ReadResponse frame through
     ``tamper`` (None-policy channels only, where the body sits in the
@@ -750,13 +765,12 @@ def _none_only_server(rng, keys):
     )
 
 
-def _tampered_network(server, tamper):
-    """One None-only host whose ReadResponses arrive tampered."""
+def _tampered_network(server, tamper, wrapper=TamperedReadResponses):
+    """One host at 10.0.0.9 whose replies ``wrapper`` tampers with
+    (by default its ReadResponses)."""
     net = SimNetwork(SimClock(parse_utc("2020-08-30")))
     host = SimHost(address=parse_ipv4("10.0.0.9"), asn=64500)
-    host.listen(
-        4840, lambda: TamperedReadResponses(server.new_connection(), tamper)
-    )
+    host.listen(4840, lambda: wrapper(server.new_connection(), tamper))
     net.add_host(host)
     return net
 
@@ -767,6 +781,11 @@ class TestMalformedReplies:
     @pytest.fixture()
     def none_server(self, scan_rng, rsa_1024):
         return _none_only_server(scan_rng.substream("none-only"), rsa_1024)
+
+    @pytest.fixture()
+    def secure_server(self, scan_rng, rsa_1024):
+        """The default None/Sign/SignAndEncrypt test server."""
+        return build_server(scan_rng.substream("secure"), rsa_1024)
 
     def test_garbled_read_response_recorded_as_protocol(
         self, none_server, scanner_identity, scan_rng
@@ -829,6 +848,47 @@ class TestMalformedReplies:
         assert details_error is None or details_error.startswith(
             "protocol:"
         )
+
+    # Every reply of a secure-capable server: the discovery channel,
+    # the Sign/SignAndEncrypt channel and the session with its reads.
+    # The fixtures are only read across examples, as above.
+    @settings(
+        derandomize=True,
+        max_examples=250,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        index=st.integers(0, 12),
+        offset=st.integers(0, 4095),
+        mask=st.integers(1, 255),
+    )
+    def test_any_garbled_reply_of_a_secure_server_yields_a_record(
+        self,
+        secure_server,
+        scanner_identity,
+        scan_rng,
+        index,
+        offset,
+        mask,
+    ):
+        replies = 0
+
+        def garble_one(reply: bytes) -> bytes:
+            nonlocal replies
+            if reply and replies == index:
+                at = offset % len(reply)
+                reply = (
+                    reply[:at] + bytes([reply[at] ^ mask]) + reply[at + 1 :]
+                )
+            replies += bool(reply)
+            return reply
+
+        net = _tampered_network(secure_server, garble_one, TamperedReplies)
+        record = grab_host(
+            net, parse_ipv4("10.0.0.9"), 4840, scanner_identity, scan_rng
+        )
+        assert isinstance(record, HostRecord)
 
     def test_garbled_host_leaves_the_sweep_and_other_records_intact(
         self, scanner_identity, scan_rng, rsa_1024
