@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.certs import certificate_conformance_class
 from repro.analysis.policies import record_policies
-from repro.analysis.reuse import analyze_certificate_reuse
+from repro.analysis.reuse import group_certificates
 from repro.scanner.records import HostRecord
 from repro.secure.policies import SECURE_POLICIES
 
@@ -79,7 +79,7 @@ def host_deficits(record: HostRecord, reused_thumbprints: set[str]) -> set[str]:
 
 
 def analyze_deficits(records: list[HostRecord]) -> DeficitSummary:
-    reuse = analyze_certificate_reuse(records)
+    reuse = group_certificates(records)
     reused_thumbprints = {g.thumbprint_hex for g in reuse.reused_on_3plus}
     summary = DeficitSummary(total_servers=len(records))
     for record in records:

@@ -40,6 +40,18 @@ class ReuseAnalysis:
 
 
 def analyze_certificate_reuse(records: list[HostRecord]) -> ReuseAnalysis:
+    analysis = group_certificates(records)
+    analysis.shared_prime_pairs = find_shared_primes(records)
+    return analysis
+
+
+def group_certificates(records: list[HostRecord]) -> ReuseAnalysis:
+    """The linear half of :func:`analyze_certificate_reuse`.
+
+    Groups hosts by certificate thumbprint and leaves
+    ``shared_prime_pairs`` at 0: the quadratic shared-prime check runs
+    only where its count is reported.
+    """
     by_thumbprint: dict[str, list[int]] = {}
     subjects: dict[str, str] = {}
     for index, record in enumerate(records):
@@ -64,7 +76,6 @@ def analyze_certificate_reuse(records: list[HostRecord]) -> ReuseAnalysis:
         analysis.groups.append(group)
     analysis.groups.sort(key=lambda g: g.host_count, reverse=True)
     analysis.reused_on_3plus = [g for g in analysis.groups if g.host_count >= 3]
-    analysis.shared_prime_pairs = find_shared_primes(records)
     return analysis
 
 

@@ -80,8 +80,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.dataset.store import StoreIntegrityError
+
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except StoreIntegrityError as exc:
+        # A stale, tampered or malformed store entry is bad input, not
+        # a bug: one line naming it and the remedy, as for a bad key.
+        raise SystemExit(f"repro: error: {exc}") from None
 
 
 if __name__ == "__main__":

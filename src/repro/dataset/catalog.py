@@ -53,8 +53,8 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.analysis.diff import StudyDiff, StudySummary, diff_summaries, summarize_stream
-from repro.dataset.store import StudyStore, resolve_store
-from repro.scanner.executor import build_executor
+from repro.dataset.store import StoreIntegrityError, StudyStore, resolve_store
+from repro.scanner.executor import ScanExecutorError, build_executor
 from repro.scanner.records import MeasurementSnapshot
 
 
@@ -228,12 +228,17 @@ class StudyCatalog:
             _SummarizeTask(root=str(self.root), entry=key)
             for key in dict.fromkeys((key_a, key_b))
         ]
-        completed = {
-            task.entry: summary
-            for task, summary in pool.run(
+        try:
+            results = pool.run(
                 tasks, _summarize_entry, lambda task, result: ()
             )
-        }
+        except ScanExecutorError as exc:
+            # A pooled backend wraps what its worker raised; a corrupt
+            # entry fails the same way on every backend.
+            if isinstance(exc.cause, StoreIntegrityError):
+                raise exc.cause from None
+            raise
+        completed = {task.entry: summary for task, summary in results}
         return diff_summaries(completed[key_a], completed[key_b])
 
     # --- full materialization (the pack exporter's read path) --------------

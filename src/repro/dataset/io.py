@@ -120,6 +120,10 @@ def iter_snapshots(path: str | Path) -> Iterator[MeasurementSnapshot]:
     Each snapshot is yielded only once all the record lines its header
     declared have been read, so a truncated tail raises
     :class:`DatasetFormatError` instead of yielding a short snapshot.
+    So does a complete line of the wrong shape: one that is not a JSON
+    object, a header whose ``snapshot`` is not a string or whose
+    ``records`` is not a non-negative integer, or a record that
+    :meth:`HostRecord.from_json_dict` rejects.
     """
     path = Path(path)
     current: MeasurementSnapshot | None = None
@@ -137,7 +141,23 @@ def iter_snapshots(path: str | Path) -> Iterator[MeasurementSnapshot]:
                     f"{path}:{number}: not valid JSON "
                     f"(truncated write?): {exc}"
                 ) from None
+            if not isinstance(data, dict):
+                raise DatasetFormatError(
+                    f"{path}:{number}: expected a JSON object, "
+                    f"got {type(data).__name__}"
+                )
             if "snapshot" in data:
+                date = data["snapshot"]
+                declared = data.get("records", 0)
+                if (
+                    not isinstance(date, str)
+                    or type(declared) is not int
+                    or declared < 0
+                ):
+                    raise DatasetFormatError(
+                        f"{path}:{number}: malformed snapshot header "
+                        f"(snapshot {date!r}, records {declared!r})"
+                    )
                 if remaining:
                     raise DatasetFormatError(
                         f"{path}:{number}: snapshot {current.date!r} "
@@ -148,12 +168,12 @@ def iter_snapshots(path: str | Path) -> Iterator[MeasurementSnapshot]:
                 if current is not None:
                     yield current
                 current = MeasurementSnapshot(
-                    date=data["snapshot"],
+                    date=date,
                     probed=data.get("probed", 0),
                     port_open=data.get("port_open", 0),
                     excluded=data.get("excluded", 0),
                 )
-                remaining = data.get("records", 0)
+                remaining = declared
             else:
                 if current is None:
                     raise DatasetFormatError(
@@ -165,7 +185,13 @@ def iter_snapshots(path: str | Path) -> Iterator[MeasurementSnapshot]:
                         f"{path}:{number}: snapshot {current.date!r} "
                         "has more record lines than its header declared"
                     )
-                current.records.append(HostRecord.from_json_dict(data))
+                try:
+                    record = HostRecord.from_json_dict(data)
+                except TypeError as exc:
+                    raise DatasetFormatError(
+                        f"{path}:{number}: not a host record: {exc}"
+                    ) from None
+                current.records.append(record)
                 remaining -= 1
     if remaining:
         raise DatasetFormatError(

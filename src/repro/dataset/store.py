@@ -112,6 +112,23 @@ class StoreIntegrityError(RuntimeError):
     """A store entry exists but fails digest/shape validation."""
 
 
+def _read_meta_file(path: Path, label: str, remedy: str) -> dict:
+    """Parse one ``meta.json``; anything but a JSON object fails
+    validation, naming the entry and how to recover."""
+    try:
+        meta = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise StoreIntegrityError(
+            f"{label}: meta.json is not valid JSON ({exc}) — {remedy}"
+        ) from None
+    if not isinstance(meta, dict):
+        raise StoreIntegrityError(
+            f"{label}: meta.json holds a JSON {type(meta).__name__}, "
+            f"not an object — {remedy}"
+        )
+    return meta
+
+
 def config_key_fields(config: StudyConfig) -> dict:
     """The config as a dict of result-affecting fields only."""
     return {
@@ -223,14 +240,12 @@ class StudyStore:
         )
 
     def read_meta(self, key: str) -> dict:
-        path = self.entry_dir(key) / META_FILE
-        try:
-            return json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise StoreIntegrityError(
-                f"store entry {key}: meta.json is not valid JSON "
-                f"({exc}) — delete {path.parent} and re-run the study"
-            ) from None
+        entry = self.entry_dir(key)
+        return _read_meta_file(
+            entry / META_FILE,
+            f"store entry {key}",
+            f"delete {entry} and re-run the study",
+        )
 
     # --- writing -----------------------------------------------------------
 
@@ -435,13 +450,9 @@ class StudyStore:
         label = f"shard {index}/{count} of {key}"
         if not (entry / META_FILE).exists():
             return None
-        try:
-            meta = json.loads((entry / META_FILE).read_text())
-        except json.JSONDecodeError as exc:
-            raise StoreIntegrityError(
-                f"{label}: meta.json is not valid JSON ({exc}) — "
-                f"delete {entry} and re-run the shard"
-            ) from None
+        meta = _read_meta_file(
+            entry / META_FILE, label, f"delete {entry} and re-run the shard"
+        )
         if (meta.get("shard_index"), meta.get("shard_count")) != (index, count):
             raise StoreIntegrityError(
                 f"{label}: meta claims shard "

@@ -7,7 +7,7 @@ information boundary as the paper's: whatever crossed the wire.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from datetime import datetime
 
 from repro.uabin.enums import MessageSecurityMode, UserTokenType
@@ -241,7 +241,7 @@ class HostRecord:
     )
 
     def to_json_dict(self) -> dict:
-        data = asdict(self)
+        data = _plain(self)
         for key in self._SPARSE_FIELDS:
             if data.get(key) is None:
                 data.pop(key, None)
@@ -265,6 +265,22 @@ class HostRecord:
             data["nodes"] = NodeSummary(**data["nodes"])
         data["endpoints"] = [EndpointRecord(**e) for e in data.get("endpoints", [])]
         return cls(**data)
+
+
+def _plain(value):
+    """Plain JSON data for a dataclass: containers copied, leaves shared.
+
+    Dataclasses become dicts and lists become new lists, field by
+    field.  The leaves (str, int, float, bool, None) are immutable, so
+    unlike the standard library's deep-copying conversion this shares
+    them with the record, and the result still owns every container.
+    """
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    names = getattr(value, "__dataclass_fields__", None)
+    if names is None:
+        return value
+    return {name: _plain(getattr(value, name)) for name in names}
 
 
 @dataclass

@@ -40,6 +40,24 @@ def serial_tiny_result():
 
 
 @pytest.fixture(scope="session")
+def golden_secure_result():
+    """The serial negotiated-security golden study, once per session
+    (for suites outside ``test_negotiated_golden.py``)."""
+    from repro.core.golden import run_tiny_secure_study
+
+    return run_tiny_secure_study()
+
+
+@pytest.fixture(scope="session")
+def golden_hostile_result():
+    """The serial device-zoo golden study, once per session (for
+    suites outside ``test_anomalies_golden.py``)."""
+    from repro.core.golden import run_tiny_hostile_study
+
+    return run_tiny_hostile_study()
+
+
+@pytest.fixture(scope="session")
 def rng():
     return DeterministicRng(20200830, "tests")
 

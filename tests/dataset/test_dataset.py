@@ -1,5 +1,6 @@
 """Anonymization and JSONL round-trip tests."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -230,4 +231,64 @@ class TestTruncationValidation:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(DatasetFormatError, match="truncated"):
+            read_snapshots(path)
+
+
+class TestWrongShapeLines:
+    """A complete, valid-JSON line of the wrong shape is a
+    DatasetFormatError naming its file and line, never a raw
+    TypeError or ValueError out of the reader."""
+
+    def _write_with(self, tmp_path: Path, index: int, line: str) -> Path:
+        snapshot = MeasurementSnapshot(
+            date="2020-08-30",
+            records=[make_record(ip=i) for i in range(3)],
+        )
+        path = tmp_path / "data.jsonl"
+        write_snapshots(path, [snapshot])
+        lines = path.read_text().splitlines()
+        lines[index] = line
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("index", [0, 1], ids=["header", "record"])
+    @pytest.mark.parametrize("line", ["42", "null", '"x"', "[]"])
+    def test_non_object_line_rejected(self, tmp_path, index, line):
+        path = self._write_with(tmp_path, index, line)
+        with pytest.raises(
+            DatasetFormatError,
+            match=rf"data\.jsonl:{index + 1}: expected a JSON object",
+        ):
+            read_snapshots(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            '{"snapshot": 5, "records": "x"}',
+            '{"snapshot": 5, "records": 3}',
+            '{"snapshot": "2020-08-30", "records": "x"}',
+            '{"snapshot": "2020-08-30", "records": -1}',
+            '{"snapshot": "2020-08-30", "records": true}',
+        ],
+    )
+    def test_malformed_header_rejected(self, tmp_path, header):
+        path = self._write_with(tmp_path, 0, header)
+        with pytest.raises(
+            DatasetFormatError,
+            match=r"data\.jsonl:1: malformed snapshot header",
+        ):
+            read_snapshots(path)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{}, {"bogus": 1}, {"endpoints": 5}, {"certificate": "x"}],
+        ids=["empty", "unknown-field", "endpoints-int", "certificate-str"],
+    )
+    def test_rejected_record_line(self, tmp_path, fields):
+        record = make_record().to_json_dict() if fields else {}
+        line = json.dumps({**record, **fields})
+        path = self._write_with(tmp_path, 2, line)
+        with pytest.raises(
+            DatasetFormatError, match=r"data\.jsonl:3: not a host record"
+        ):
             read_snapshots(path)

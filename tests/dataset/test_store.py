@@ -20,6 +20,7 @@ from repro.core.golden import (
     tiny_study_config,
 )
 from repro.core.study import Study
+from repro.dataset.catalog import StudyCatalog
 from repro.dataset.store import (
     META_FILE,
     SNAPSHOT_FILE,
@@ -210,6 +211,49 @@ class TestPoisoningGuards:
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(StoreIntegrityError):
             store.load(serial_tiny_result.config, serial_tiny_result.spec)
+
+
+def _rewrite_first_record(path, rewrite) -> None:
+    """Replace the first record line of a gzipped snapshot file."""
+    lines = gzip.decompress(path.read_bytes()).decode().splitlines()
+    lines[1] = rewrite(lines[1])
+    path.write_bytes(gzip.compress(("\n".join(lines) + "\n").encode()))
+
+
+class TestWrongShapeEntries:
+    """Complete, valid-JSON store files of the wrong shape fail as
+    integrity errors on every read path, not as TypeError or
+    AttributeError."""
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda line: "{}",
+            lambda line: "[]",
+            lambda line: json.dumps({**json.loads(line), "bogus": 1}),
+        ],
+        ids=["empty-object", "array", "unknown-field"],
+    )
+    def test_wrong_shape_record_line_rejected(
+        self, tampered, serial_tiny_result, rewrite
+    ):
+        store, key = tampered
+        _rewrite_first_record(store.entry_dir(key) / SNAPSHOT_FILE, rewrite)
+        with pytest.raises(StoreIntegrityError, match="unreadable"):
+            store.load(serial_tiny_result.config, serial_tiny_result.spec)
+        with pytest.raises(StoreIntegrityError, match=":2: "):
+            StudyCatalog(store).summarize(key)
+
+    @pytest.mark.parametrize("content", ["[]", "42", '"x"'])
+    def test_non_object_meta_rejected(
+        self, tampered, serial_tiny_result, content
+    ):
+        store, key = tampered
+        (store.entry_dir(key) / META_FILE).write_text(content)
+        with pytest.raises(StoreIntegrityError, match="not an object"):
+            store.load(serial_tiny_result.config, serial_tiny_result.spec)
+        with pytest.raises(StoreIntegrityError, match="not an object"):
+            StudyCatalog(store).describe(key)
 
 
 class TestCorpusStore:

@@ -6,8 +6,11 @@ Usage::
 
 Writes ``tiny_study.digest.json`` (the None-only population),
 ``negotiated.digest.json`` (the secure-endpoint population whose
-records carry the ``negotiated_*`` session fields), and
-``anomalies.digest.json`` (the hostile device-zoo population).
+records carry the ``negotiated_*`` session fields),
+``anomalies.digest.json`` (the hostile device-zoo population), and
+``analysis.digest.json`` (the :class:`AnalysisReport` of each of the
+three studies, plus the :class:`StudyDiff` between the tiny study at
+seeds 20200830 and 7).
 
 Only run this after an *intentional* determinism change (new record
 field, RNG re-keying, population change) and commit the refreshed
@@ -26,6 +29,10 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 DIGEST_PATH = Path(__file__).resolve().parent / "tiny_study.digest.json"
 NEGOTIATED_PATH = Path(__file__).resolve().parent / "negotiated.digest.json"
 ANOMALIES_PATH = Path(__file__).resolve().parent / "anomalies.digest.json"
+ANALYSIS_PATH = Path(__file__).resolve().parent / "analysis.digest.json"
+
+#: The second seed of the pinned diff (the first is the golden seed).
+DIFF_SEED = 7
 
 for entry in (str(REPO_ROOT / "src"),):
     if entry not in sys.path:
@@ -35,6 +42,8 @@ import os  # noqa: E402
 
 os.environ.setdefault("REPRO_KEYCACHE", str(REPO_ROOT / ".keycache"))
 
+from repro.analysis.diff import diff_summaries, summarize_stream  # noqa: E402
+from repro.analysis.pipeline import run_analyses  # noqa: E402
 from repro.core.golden import (  # noqa: E402
     TINY_BATCH_SIZE,
     TINY_SECURE_ROW_IDS,
@@ -48,6 +57,21 @@ from repro.core.golden import (  # noqa: E402
     tiny_secure_spec,
     tiny_spec,
 )
+
+
+def report_digest(result, spec) -> str:
+    """Digest of the full analysis registry over one study."""
+    return run_analyses(
+        result.snapshots, spec, seed=result.config.seed
+    ).digest()
+
+
+def diff_digest(earlier, later) -> str:
+    """Digest of the diff between two studies, labelled a and b."""
+    return diff_summaries(
+        summarize_stream(earlier.snapshots, label="a"),
+        summarize_stream(later.snapshots, label="b"),
+    ).digest()
 
 
 def main() -> int:
@@ -103,6 +127,28 @@ def main() -> int:
     ANOMALIES_PATH.write_text(json.dumps(hostile_payload, indent=2) + "\n")
     print(f"wrote {ANOMALIES_PATH}")
     print(f"hostile study digest: {hostile_payload['digest']}")
+
+    analysis_payload = {
+        "_comment": (
+            "Digests of run_analyses(snapshots, spec, seed=seed) over "
+            "each golden study, and of diff_summaries between the tiny "
+            "study at seeds 20200830 and 7 (labels a and b). "
+            "Regenerate with: "
+            "PYTHONPATH=src python tests/golden/regenerate.py"
+        ),
+        "reports": {
+            "tiny": report_digest(result, tiny_spec()),
+            "negotiated": report_digest(secure, tiny_secure_spec()),
+            "hostile": report_digest(hostile, tiny_hostile_spec()),
+        },
+        "diff": {
+            "seeds": [result.config.seed, DIFF_SEED],
+            "digest": diff_digest(result, run_tiny_study(seed=DIFF_SEED)),
+        },
+    }
+    ANALYSIS_PATH.write_text(json.dumps(analysis_payload, indent=2) + "\n")
+    print(f"wrote {ANALYSIS_PATH}")
+    print(f"tiny-study diff digest: {analysis_payload['diff']['digest']}")
     return 0
 
 

@@ -10,6 +10,7 @@ mixed dates) are pinned independently of the simulator.
 
 from __future__ import annotations
 
+import gzip
 import json
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from repro.core.golden import (
     canonical_json,
     study_digests,
     study_digest,
+    sweep_digests,
     tiny_spec,
     tiny_study_config,
 )
@@ -334,6 +336,34 @@ class TestCheckpointsAndManifest:
         assert [canonical_json(s.to_json_dict()) for s in rescanned] == [
             canonical_json(s.to_json_dict()) for s in shard_parts[0]
         ]
+
+    @pytest.mark.parametrize("corrupt", ["record-line", "meta"])
+    def test_resume_rescans_wrong_shape_checkpoint(
+        self, tmp_path, shard_parts, corrupt
+    ):
+        """A checkpoint whose files are valid JSON of the wrong shape
+        (a ``{}`` record line, a ``[]`` meta) is rescanned like any
+        corrupt one, and the study it merges into keeps the golden
+        digests."""
+        store = StudyStore(tmp_path)
+        config, spec = tiny_study_config(), tiny_spec()
+        store.save_shard(config, spec, 0, SHARDS, shard_parts[0])
+        from repro.dataset.store import study_key
+
+        shard_dir = store.shard_dir(study_key(config, spec), 0, SHARDS)
+        if corrupt == "record-line":
+            path = shard_dir / "snapshots.jsonl.gz"
+            lines = gzip.decompress(path.read_bytes()).decode().splitlines()
+            lines[1] = "{}"
+            path.write_bytes(gzip.compress(("\n".join(lines) + "\n").encode()))
+        else:
+            (shard_dir / "meta.json").write_text("[]")
+        rescanned = run_study_shard(
+            config, ShardSpec(0, SHARDS), spec=spec, store=store, resume=True
+        )
+        merged = merge_snapshots([rescanned, *shard_parts[1:]])
+        committed = json.loads(DIGEST_PATH.read_text())
+        assert sweep_digests(merged) == committed["per_sweep"]
 
     def test_run_sharded_study_end_to_end(self, tmp_path):
         """Driver loop: scan all shards, merge, publish, and a second

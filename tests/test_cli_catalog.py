@@ -8,7 +8,9 @@ bundle, and re-verify it.
 
 from __future__ import annotations
 
+import gzip
 import json
+import shutil
 
 import pytest
 
@@ -130,3 +132,66 @@ class TestPackRoundTrip:
             main(["pack", "9" * 64, "--out", str(out_dir),
                   "--store", str(root)])
         assert not out_dir.exists()
+
+
+@pytest.fixture()
+def corrupt_store(populated_store, tmp_path):
+    """A private copy of the populated store whose second study's
+    first record line is ``{}``: complete, valid JSON, wrong shape."""
+    root, key_a, key_b = populated_store
+    copy = tmp_path / "store"
+    shutil.copytree(root, copy)
+    path = copy / key_b / "snapshots.jsonl.gz"
+    lines = gzip.decompress(path.read_bytes()).decode().splitlines()
+    lines[1] = "{}"
+    path.write_bytes(gzip.compress(("\n".join(lines) + "\n").encode()))
+    return copy, key_a, key_b
+
+
+class TestCorruptEntries:
+    """A store entry that fails validation ends every read-side verb
+    with one ``repro: error:`` line, as an unknown key does."""
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_diff_exits_with_error(self, corrupt_store, executor):
+        root, key_a, key_b = corrupt_store
+        with pytest.raises(
+            SystemExit, match=rf"^repro: error: store entry {key_b}: "
+        ):
+            main(["diff", key_a, key_b, "--store", str(root),
+                  "--executor", executor])
+
+    def test_pack_exits_with_error(self, corrupt_store, tmp_path):
+        root, _, key_b = corrupt_store
+        with pytest.raises(
+            SystemExit, match=rf"^repro: error: store entry {key_b}: "
+        ):
+            main(["pack", key_b, "--out", str(tmp_path / "bundle"),
+                  "--store", str(root)])
+
+    @pytest.mark.parametrize("with_key", [False, True])
+    def test_runs_exits_on_non_object_meta(self, corrupt_store, with_key):
+        root, _, key_b = corrupt_store
+        (root / key_b / "meta.json").write_text("[]")
+        argv = ["runs", "--store", str(root)]
+        if with_key:
+            argv += ["--key", key_b]
+        with pytest.raises(
+            SystemExit, match=r"^repro: error: .*not an object"
+        ):
+            main(argv)
+
+    def test_analyze_exits_with_error(self, tmp_path):
+        from repro.deployments.spec import build_default_spec
+
+        store = StudyStore(tmp_path / "store")
+        key = store.save(
+            StudyConfig(seed=1),
+            build_default_spec(),
+            study(["2020-08-30"], range(1, 5)),
+        )
+        (store.entry_dir(key) / "meta.json").write_text('"x"')
+        with pytest.raises(
+            SystemExit, match=rf"^repro: error: store entry {key}: "
+        ):
+            main(["analyze", "--seed", "1", "--store", str(store.root)])
