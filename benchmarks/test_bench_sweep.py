@@ -188,7 +188,7 @@ def _run_sharded_sweep(study_result, executor_name: str, workers: int):
     """Scan the final sweep as ``SHARD_COUNT`` shards, then merge.
 
     Each shard re-assembles its own network view and scans only its
-    slice of the candidate permutation — the single-machine stand-in
+    slice of the candidate stream — the single-machine stand-in
     for a fleet — and the deterministic merge reassembles the sweep.
     Timing covers all shards plus the merge, so hosts/second here is
     directly comparable to the unsharded ``backends`` section (the

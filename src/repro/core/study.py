@@ -286,7 +286,7 @@ class Study:
         """Scan the eight sweeps through ``executor``.
 
         ``shard`` (a :class:`~repro.scanner.shard.ShardSpec`) restricts
-        every sweep to that shard's slice of the candidate permutation;
+        every sweep to that shard's slice of the candidate stream;
         ``None`` scans the whole address space.  Everything else — the
         per-sweep Internet, noise hosts, campaign RNG substreams — is
         derived identically either way, which is what makes a merged

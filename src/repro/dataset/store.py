@@ -89,7 +89,10 @@ from repro.scanner.records import MeasurementSnapshot
 #: produced it.  Bump on any change to the record schema, the snapshot
 #: digest definition, or the scan pipeline's output — every existing
 #: key then stops matching and studies are transparently re-run.
-SCHEMA_VERSION = 1
+#: Version 2: the candidate stream lost its shuffle, which moves every
+#: index-mod shard slice, so no shard checkpoint of version 1 may be
+#: merged with one cut under the new order.
+SCHEMA_VERSION = 2
 
 #: Environment variable naming the default store directory.  Used by
 #: :func:`resolve_store` so CI and benchmarks opt whole process trees
@@ -112,20 +115,44 @@ class StoreIntegrityError(RuntimeError):
     """A store entry exists but fails digest/shape validation."""
 
 
+#: Fields the readers index or slice without looking, and what each
+#: must be wherever a metadata file holds it.
+_FIELD_SHAPES = {
+    "config": ("an object", lambda value: isinstance(value, dict)),
+    "per_sweep": (
+        "an object of digest strings",
+        lambda value: isinstance(value, dict)
+        and all(isinstance(digest, str) for digest in value.values()),
+    ),
+    "digest": ("a string", lambda value: isinstance(value, str)),
+    "manifest_digest": ("a string", lambda value: isinstance(value, str)),
+}
+
+
 def _read_meta_file(path: Path, label: str, remedy: str) -> dict:
-    """Parse one ``meta.json``; anything but a JSON object fails
-    validation, naming the entry and how to recover."""
+    """Parse one ``meta.json`` or ``merge.json``.
+
+    Anything but a JSON object, or an object with a field of the wrong
+    shape (:data:`_FIELD_SHAPES`), fails validation, naming the entry,
+    the file, the field and how to recover.
+    """
     try:
         meta = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise StoreIntegrityError(
-            f"{label}: meta.json is not valid JSON ({exc}) — {remedy}"
+            f"{label}: {path.name} is not valid JSON ({exc}) — {remedy}"
         ) from None
     if not isinstance(meta, dict):
         raise StoreIntegrityError(
-            f"{label}: meta.json holds a JSON {type(meta).__name__}, "
+            f"{label}: {path.name} holds a JSON {type(meta).__name__}, "
             f"not an object — {remedy}"
         )
+    for field, (shape, valid) in _FIELD_SHAPES.items():
+        if field in meta and not valid(meta[field]):
+            raise StoreIntegrityError(
+                f"{label}: {path.name} field {field!r} is not {shape} "
+                f"— {remedy}"
+            )
     return meta
 
 
@@ -479,10 +506,15 @@ class StudyStore:
         return path
 
     def read_merge_manifest(self, key: str) -> dict | None:
-        path = self.entry_dir(key) / MERGE_MANIFEST_FILE
+        entry = self.entry_dir(key)
+        path = entry / MERGE_MANIFEST_FILE
         if not path.exists():
             return None
-        return json.loads(path.read_text())
+        return _read_meta_file(
+            path,
+            f"store entry {key}",
+            f"delete {entry} and re-merge the shards",
+        )
 
     # --- capture corpora ---------------------------------------------------
 

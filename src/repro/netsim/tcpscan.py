@@ -1,10 +1,13 @@
 """zmap-style TCP port sweep of the simulated IPv4 space.
 
-Like zmap, the sweep visits candidate addresses in a pseudo-random
-permutation (so no AS sees a burst), honours the opt-out blocklist,
-and reports only which addresses have the port open — the protocol
-grab is a separate stage, exactly as in the paper's
-zmap → zgrab2 pipeline.
+Like zmap, the sweep honours the opt-out blocklist and reports only
+which addresses have the port open — the protocol grab is a separate
+stage, exactly as in the paper's zmap → zgrab2 pipeline.  Unlike
+zmap, it does not permute its targets: zmap does so that no network
+sees a burst of probes, but the simulated lane has no latency or
+rate model, and only the candidate *set* reaches a snapshot, never
+its order.  The sweep visits the registered hosts, then its random
+draws, in the order they were made.
 """
 
 from __future__ import annotations
@@ -42,18 +45,22 @@ def candidate_stream(
     rng: DeterministicRng,
     extra_candidates: int = 0,
 ) -> list[int]:
-    """The deduplicated probe-candidate permutation for one sweep.
+    """The deduplicated probe-candidate stream for one sweep.
 
-    A pure function of the sweep RNG: registered hosts first, then
-    ``extra_candidates`` random draws, shuffled once, deduplicated in
-    first-occurrence order.  Every consumer — serial batching, the
+    A pure function of the sweep RNG: the registered hosts in
+    registration order, then ``extra_candidates`` uniform draws below
+    2**32 from the ``sweep-{port}`` substream in draw order,
+    deduplicated in first-occurrence order.  There is no shuffle:
+    nothing the simulation records depends on the order (see the
+    module docstring), and shuffling a million candidates costs more
+    than drawing them.  Every consumer — serial batching, the
     pooled executors, :class:`~repro.scanner.shard.ShardSpec` slicing
     — sees the identical stream, which is what makes index-mod
     sharding mergeable: position ``i`` belongs to shard ``i % N``
     regardless of who enumerates it.
 
     The blocklist is deliberately **not** consulted here: like zmap's
-    shard permutation, candidate generation is blocklist-agnostic, and
+    target generation, candidate generation is blocklist-agnostic, and
     exclusion happens at probe time (``probe_candidates``, or the
     campaign's per-batch workers).  Extra candidates drawn from the
     full 2**32 space may therefore land on excluded addresses — they
@@ -62,12 +69,15 @@ def candidate_stream(
     (pinned by ``tests/netsim/test_tcpscan_properties.py``).
     """
     candidates = [host.address for host in network.hosts()]
-    probe_rng = rng.substream(f"sweep-{port}")
+    getrandbits = rng.substream(f"sweep-{port}").getrandbits
     for _ in range(extra_candidates):
-        candidates.append(probe_rng.randrange(2**32))
-    # zmap randomizes probe order over the whole space.
-    candidates = probe_rng.shuffled(candidates)
-
+        # CPython's uniform draw below 2**32, inlined: 33 random bits,
+        # redrawn while bit 32 is set — the same draws at about half
+        # the cost of the library call.
+        draw = getrandbits(33)
+        while draw >> 32:
+            draw = getrandbits(33)
+        candidates.append(draw)
     # dict.fromkeys dedups in first-occurrence order — the same stream
     # a per-address seen-set loop produces.
     return list(dict.fromkeys(candidates))

@@ -11,9 +11,10 @@ visible in Figure 2); ``follow_references=True`` reproduces that.
 
 The whole sweep — SYN probing *and* protocol grabbing — runs through a
 pluggable :class:`~repro.scanner.executor.ScanExecutor` (serial,
-thread pool, or fork-based process pool).  The candidate permutation
-is cut into :class:`ProbeBatchTask`s (stage 0); each batch is probed
-on its own network view, its open addresses expand into
+thread pool, or fork-based process pool).  The candidate stream (see
+:func:`~repro.netsim.tcpscan.candidate_stream`) is cut into
+:class:`ProbeBatchTask`s (stage 0); each batch is probed on its own
+network view, its open addresses expand into
 :class:`GrabTask`s (stage 1) that start grabbing while later batches
 are still probing, and follow-reference grabs (stage 2) feed back
 through the same bounded queue.  Four invariants make every
@@ -79,7 +80,7 @@ class ProbeBatchOutcome:
 
     Crosses the worker/coordinator boundary (pickled by the process
     backend), so it carries plain data only.  ``open_addresses``
-    preserves permutation order within the batch.
+    preserves candidate-stream order within the batch.
     """
 
     probed: int
@@ -138,7 +139,7 @@ class ScanCampaign:
 
         ``batch_size`` sets the SYN-batch granularity (default:
         :data:`~repro.netsim.tcpscan.DEFAULT_BATCH_SIZE`).  It changes
-        only how the candidate permutation is cut into executor tasks,
+        only how the candidate stream is cut into executor tasks,
         never the snapshot bytes.
         """
         if batch_size is not None and batch_size < 1:
@@ -149,7 +150,7 @@ class ScanCampaign:
 
         def sweep_tasks():
             # zmap→zgrab2 pipelining, both stages through the executor:
-            # every fixed-size slice of the candidate permutation is a
+            # every fixed-size slice of the candidate stream is a
             # stage-0 probe task, and pooled backends start grabbing a
             # batch's open addresses while later batches are still
             # probing.
@@ -219,7 +220,7 @@ class ScanCampaign:
         """Stage-0 candidate batches for one sweep.
 
         The seam :class:`~repro.scanner.shard.ShardedScanCampaign`
-        overrides: it feeds the same candidate permutation through an
+        overrides: it feeds the same candidate stream through an
         index-mod shard filter before batching, so a shard scans its
         slice of the stream and nothing else changes.
         """
@@ -234,19 +235,14 @@ class ScanCampaign:
     def _probe_batch(self, task: ProbeBatchTask) -> ProbeBatchOutcome:
         """SYN-probe one batch (runs inside executor workers).
 
-        The blocklist is consulted at probe time — candidate
-        generation deliberately does not filter (zmap's shard
-        permutation is blocklist-agnostic too), so excluded accounting
-        is identical whether the stream is probed serially or batched
-        across workers.
+        The blocklist is consulted at probe time, once per batch —
+        candidate generation deliberately does not filter (zmap's
+        target generation is blocklist-agnostic too), so excluded
+        accounting is identical whether the stream is probed serially
+        or batched across workers.
         """
         view = self._network.task_view()
-        blocklist = self._blocklist
-        addresses = [
-            address
-            for address in task.addresses
-            if address not in blocklist
-        ]
+        addresses = self._blocklist.allowed(task.addresses)
         opens = view.probe_many(addresses, task.port)
         return ProbeBatchOutcome(
             probed=len(addresses),

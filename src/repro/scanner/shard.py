@@ -3,14 +3,18 @@
 The paper's campaign is internet-wide; one process owning a whole
 study means a crash at sweep 47 of 48 rescans everything.  This
 module cuts a study into N independent **shards** the way zmap cuts
-the IPv4 permutation across scan machines: candidate *i* of the
-per-sweep permutation belongs to shard ``i % N``.  Because the
-permutation is a pure function of the sweep RNG (see
-:func:`repro.netsim.tcpscan.candidate_stream`) and every grab derives
-its bytes from ``(seed, date, address, port)`` alone, each shard can
-run in its own process — on its own rebuilt simulated Internet, on
-any executor backend — and the merged snapshots are byte-identical to
-an unsharded run, for every N.
+its targets across scan machines: candidate *i* of the per-sweep
+candidate stream belongs to shard ``i % N``, which keeps the shards
+balanced by count.  Because the stream is a pure function of the
+sweep RNG (see :func:`repro.netsim.tcpscan.candidate_stream`: the
+registered hosts, then the random draws in draw order) and every grab
+derives its bytes from ``(seed, date, address, port)`` alone, each
+shard can run in its own process — on its own rebuilt simulated
+Internet, on any executor backend — and the merged snapshots are
+byte-identical to an unsharded run, for every N.  A shard's slice is
+only meaningful under the stream order that cut it, so a change to
+that order bumps :data:`~repro.dataset.store.SCHEMA_VERSION`, and
+checkpoints cut under the old order stop matching.
 
 Shards checkpoint into the :class:`~repro.dataset.store.StudyStore`
 (``shards/<study-key>/<index>-of-<count>/``, digest-validated like
@@ -64,9 +68,9 @@ class ShardSpec:
     """One slice of an index-mod partition: positions ``i % count == index``.
 
     zmap's sharding, exactly: membership depends only on a candidate's
-    *position* in the shared permutation, so the union over all shards
-    is the whole stream for every ``count``, and no candidate lands in
-    two shards.
+    *position* in the shared candidate stream, so the union over all
+    shards is the whole stream for every ``count``, and no candidate
+    lands in two shards.
     """
 
     index: int
@@ -94,7 +98,7 @@ class ShardedScanCampaign(ScanCampaign):
 
     Identical in every respect — RNG derivation, per-task network
     views, executor fan-out, follow-references — except that stage 0
-    probes only this shard's slice of the candidate permutation.
+    probes only this shard's slice of the candidate stream.
     Follow-reference grabs are *not* sharded: a referenced endpoint is
     grabbed by whichever shard scanned the referring server, and the
     merge deduplicates (byte-equal by construction) and re-applies the

@@ -255,6 +255,66 @@ class TestWrongShapeEntries:
         with pytest.raises(StoreIntegrityError, match="not an object"):
             StudyCatalog(store).describe(key)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("config", []),
+            ("config", "seed=1"),
+            ("per_sweep", ["2020-07-06"]),
+            ("per_sweep", 5),
+            ("per_sweep", {"2020-07-06": 5}),
+            ("digest", 5),
+        ],
+        ids=[
+            "config-array",
+            "config-string",
+            "per_sweep-array",
+            "per_sweep-number",
+            "per_sweep-number-digest",
+            "digest-number",
+        ],
+    )
+    def test_wrong_type_meta_field_rejected(
+        self, tampered, serial_tiny_result, field, value
+    ):
+        """An object ``meta.json`` whose field has the wrong JSON type
+        fails naming the file and the field, not as a TypeError or
+        AttributeError out of the reader that indexes it."""
+        store, key = tampered
+        meta_path = store.entry_dir(key) / META_FILE
+        meta = json.loads(meta_path.read_text())
+        meta[field] = value
+        meta_path.write_text(json.dumps(meta))
+        expected = rf"meta\.json field '{field}' is not"
+        with pytest.raises(StoreIntegrityError, match=expected):
+            store.load(serial_tiny_result.config, serial_tiny_result.spec)
+        with pytest.raises(StoreIntegrityError, match=expected):
+            StudyCatalog(store).describe(key)
+        with pytest.raises(StoreIntegrityError, match=expected):
+            StudyCatalog(store).summarize(key)
+
+    @pytest.mark.parametrize(
+        "content, expected",
+        [
+            ("{trunc", "merge.json is not valid JSON"),
+            ("[]", "merge.json holds a JSON list, not an object"),
+            (
+                '{"manifest_digest": 5}',
+                "merge.json field 'manifest_digest' is not a string",
+            ),
+        ],
+        ids=["truncated", "array", "digest-number"],
+    )
+    def test_wrong_shape_merge_manifest_rejected(
+        self, tampered, content, expected
+    ):
+        store, key = tampered
+        (store.entry_dir(key) / "merge.json").write_text(content)
+        with pytest.raises(StoreIntegrityError, match=expected):
+            store.read_merge_manifest(key)
+        with pytest.raises(StoreIntegrityError, match=expected):
+            StudyCatalog(store).describe(key)
+
 
 class TestCorpusStore:
     """Content-addressed capture corpora alongside study entries."""

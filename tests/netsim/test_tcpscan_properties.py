@@ -1,16 +1,21 @@
-"""Property-style tests for the candidate permutation and its batching.
+"""Property-style tests for the candidate stream and its batching.
 
 The batched SYN sweep hands ``candidate_batches`` output to parallel
-executor workers, so everything downstream rests on four properties:
+executor workers, so everything downstream rests on five properties:
 
-* the permutation is a pure function of ``(seed, port)``;
+* the stream is a pure function of ``(seed, port)``: the registered
+  hosts in registration order, then the ``sweep-{port}`` substream's
+  draws below 2**32 in draw order, deduplicated in first-occurrence
+  order — equal, element for element, to the library reference built
+  from ``randrange(2**32)``;
+* ports draw from isolated substreams;
 * batches partition the stream (disjoint, nothing dropped);
 * deduplication holds even when ``extra_candidates`` draws collide
   with registered hosts or with each other;
 * batch size changes only the cut points, never the visit order.
 
 Plus the accounting regression: ``candidate_batches`` deliberately
-does not consult the blocklist (zmap's shard permutation is
+does not consult the blocklist (zmap's target generation is
 blocklist-agnostic; exclusion happens at probe time), so batched and
 unbatched probing must report identical probed/excluded/open totals.
 """
@@ -18,10 +23,16 @@ unbatched probing must report identical probed/excluded/open totals.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim.blocklist import Blocklist
 from repro.netsim.net import SimHost, SimNetwork
-from repro.netsim.tcpscan import candidate_batches, sweep_port
+from repro.netsim.tcpscan import (
+    candidate_batches,
+    candidate_stream,
+    sweep_port,
+)
 from repro.scanner.campaign import ScanCampaign, ScannerIdentity
 from repro.scanner.executor import ProbeBatchTask
 from repro.util.rng import DeterministicRng
@@ -70,10 +81,19 @@ class TestPermutationPurity:
         assert first == second
 
     def test_different_port_different_substream(self):
-        network = _network(ADDRESSES)
-        assert _flatten(network, PORT, _rng()) != _flatten(
-            network, 4841, _rng()
-        )
+        """Ports are isolated through their draws: with none, every
+        port gives the hosts in registration order; with some, the
+        hosts lead unchanged and the draw suffixes differ."""
+        registered = ADDRESSES[1::2] + ADDRESSES[::2]
+        network = _network(registered)
+        for port in (PORT, 4841):
+            assert _flatten(network, port, _rng()) == registered
+        first = _flatten(network, PORT, _rng(), extra_candidates=25)
+        second = _flatten(network, 4841, _rng(), extra_candidates=25)
+        hosts = len(registered)
+        assert first[:hosts] == second[:hosts] == registered
+        assert len(first) == len(second) == hosts + 25
+        assert first[hosts:] != second[hosts:]
 
     def test_batch_size_changes_granularity_not_order(self):
         network = _network(ADDRESSES)
@@ -99,6 +119,60 @@ class TestPermutationPurity:
         )
         assert all(len(batch) == 16 for batch in batches[:-1])
         assert 0 < len(batches[-1]) <= 16
+
+
+def _reference_stream(network, port, rng, extra_candidates):
+    """The stream as the library's own draw builds it."""
+    draws = rng.substream(f"sweep-{port}")
+    hosts = [host.address for host in network.hosts()]
+    return list(
+        dict.fromkeys(
+            hosts + [draws.randrange(2**32) for _ in range(extra_candidates)]
+        )
+    )
+
+
+class TestReferenceStream:
+    """``candidate_stream`` draws exactly what ``randrange(2**32)`` on
+    the ``sweep-{port}`` substream draws, in draw order."""
+
+    @pytest.mark.parametrize("extra", [0, 1, 4000])
+    def test_equals_reference(self, extra):
+        network = _network(ADDRESSES[::-1])
+        assert candidate_stream(
+            network, PORT, _rng(), extra_candidates=extra
+        ) == _reference_stream(network, PORT, _rng(), extra)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64),
+        port=st.integers(1, 65535),
+        extra=st.integers(0, 3000),
+        hosts=st.lists(st.integers(0, 2**32 - 1), max_size=40, unique=True),
+    )
+    def test_equals_reference_for_any_seed_port_and_count(
+        self, seed, port, extra, hosts
+    ):
+        network = _network(hosts)
+        rng = DeterministicRng(seed, "tcpscan-reference")
+        assert candidate_stream(
+            network, port, rng, extra_candidates=extra
+        ) == _reference_stream(
+            network, port, DeterministicRng(seed, "tcpscan-reference"), extra
+        )
+
+    def test_equals_reference_when_draws_collide(self):
+        # Register hosts at drawn addresses (first, middle, last), and
+        # draw enough that the stream must drop them from the suffix.
+        probe_rng = _rng().substream(f"sweep-{PORT}")
+        draws = [probe_rng.randrange(2**32) for _ in range(3000)]
+        network = _network([draws[2999], 42, draws[0], draws[1500]])
+        stream = candidate_stream(
+            network, PORT, _rng(), extra_candidates=3000
+        )
+        assert stream == _reference_stream(network, PORT, _rng(), 3000)
+        assert stream[:4] == [draws[2999], 42, draws[0], draws[1500]]
+        assert len(stream) == len(set(stream)) == len({42, *draws})
 
 
 class TestPartitioning:
@@ -153,7 +227,7 @@ class TestBlocklistAccounting:
         # way executor workers do, and require identical totals.
         # (candidate_batches derives its own f"sweep-{port}" substream
         # from the rng it is given, so passing a fresh _rng() walks
-        # the exact permutation sweep_port consumed.)
+        # the exact stream sweep_port consumed.)
         campaign = ScanCampaign(
             network,
             ScannerIdentity(client_identity=None),

@@ -90,7 +90,7 @@ class TestShardSpec:
         assert rebuilt == items
 
     def test_partition_of_the_real_candidate_stream(self, serial_tiny_result):
-        """The property holds on the actual sweep permutation, which is
+        """The property holds on the actual sweep stream, which is
         what makes the merged counters sum exactly."""
         network = serial_tiny_result.timeline.network_for_sweep(0)
         study = Study(serial_tiny_result.config)
@@ -363,6 +363,32 @@ class TestCheckpointsAndManifest:
         )
         merged = merge_snapshots([rescanned, *shard_parts[1:]])
         committed = json.loads(DIGEST_PATH.read_text())
+        assert sweep_digests(merged) == committed["per_sweep"]
+
+    def test_resume_rescans_checkpoint_of_an_older_schema(
+        self, tmp_path, shard_parts, monkeypatch
+    ):
+        """A checkpoint saved under schema 1, when the candidate stream
+        was still shuffled, holds a slice this code does not cut; it is
+        never resumed, and the study merges to the golden digests."""
+        import repro.dataset.store as store_module
+
+        store = StudyStore(tmp_path)
+        config, spec = tiny_study_config(), tiny_spec()
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module, "SCHEMA_VERSION", 1)
+            # Deliberately wrong bytes in slot 0, as a slice cut under
+            # another stream order would be: shard 1's valid snapshots.
+            store.save_shard(config, spec, 0, SHARDS, shard_parts[1])
+        for index in (1, 2):
+            store.save_shard(config, spec, index, SHARDS, shard_parts[index])
+        rescanned = run_study_shard(
+            config, ShardSpec(0, SHARDS), spec=spec, store=store, resume=True
+        )
+        assert sweep_digests(rescanned) == sweep_digests(shard_parts[0])
+        merge_study_shards(store, config, SHARDS, spec=spec)
+        committed = json.loads(DIGEST_PATH.read_text())
+        merged = store.load(config, spec)
         assert sweep_digests(merged) == committed["per_sweep"]
 
     def test_run_sharded_study_end_to_end(self, tmp_path):

@@ -195,3 +195,65 @@ class TestCorruptEntries:
             SystemExit, match=rf"^repro: error: store entry {key}: "
         ):
             main(["analyze", "--seed", "1", "--store", str(store.root)])
+
+    @pytest.mark.parametrize("content", ["{trunc", "[]"])
+    @pytest.mark.parametrize("with_key", [False, True])
+    def test_runs_exits_on_corrupt_merge_manifest(
+        self, store_copy, content, with_key
+    ):
+        """A truncated or non-object ``merge.json`` beside an entry is
+        an integrity error, not a JSONDecodeError or AttributeError."""
+        root, key_a, _ = store_copy
+        (root / key_a / "merge.json").write_text(content)
+        argv = ["runs", "--store", str(root)]
+        if with_key:
+            argv += ["--key", key_a]
+        with pytest.raises(
+            SystemExit,
+            match=rf"^repro: error: store entry {key_a}: merge\.json ",
+        ):
+            main(argv)
+
+    @pytest.mark.parametrize(
+        "verb", ["runs", "runs-key", "diff", "pack"]
+    )
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("config", []),
+            ("per_sweep", ["2020-07-06"]),
+            ("per_sweep", 5),
+            ("digest", 5),
+        ],
+        ids=["config-array", "per_sweep-array", "per_sweep-number",
+             "digest-number"],
+    )
+    def test_wrong_type_meta_field_exits_with_error(
+        self, store_copy, tmp_path, verb, field, value
+    ):
+        root, key_a, key_b = store_copy
+        meta_path = root / key_a / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta[field] = value
+        meta_path.write_text(json.dumps(meta))
+        argv = {
+            "runs": ["runs"],
+            "runs-key": ["runs", "--key", key_a],
+            "diff": ["diff", key_a, key_b],
+            "pack": ["pack", key_a, "--out", str(tmp_path / "bundle")],
+        }[verb]
+        with pytest.raises(
+            SystemExit,
+            match=rf"^repro: error: store entry {key_a}: meta\.json "
+            rf"field '{field}' is not ",
+        ):
+            main([*argv, "--store", str(root)])
+
+
+@pytest.fixture()
+def store_copy(populated_store, tmp_path):
+    """A private, intact copy of the populated store."""
+    root, key_a, key_b = populated_store
+    copy = tmp_path / "store"
+    shutil.copytree(root, copy)
+    return copy, key_a, key_b
