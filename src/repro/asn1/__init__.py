@@ -24,15 +24,12 @@ from repro.asn1.der import (
     encode_integer,
     decode_integer,
 )
-from repro.asn1.oids import OID_NAMES, OID_VALUES, oid_name
 
 __all__ = [
     "Asn1Error",
     "BitString",
     "ContextTag",
     "Null",
-    "OID_NAMES",
-    "OID_VALUES",
     "ObjectIdentifier",
     "OctetString",
     "PrintableString",
@@ -44,5 +41,4 @@ __all__ = [
     "decode_integer",
     "encode_der",
     "encode_integer",
-    "oid_name",
 ]

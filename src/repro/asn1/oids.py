@@ -33,29 +33,6 @@ AUTHORITY_KEY_ID = "2.5.29.35"
 SERVER_AUTH = "1.3.6.1.5.5.7.3.1"
 CLIENT_AUTH = "1.3.6.1.5.5.7.3.2"
 
-OID_NAMES: dict[str, str] = {
-    RSA_ENCRYPTION: "rsaEncryption",
-    MD5_WITH_RSA: "md5WithRSAEncryption",
-    SHA1_WITH_RSA: "sha1WithRSAEncryption",
-    SHA256_WITH_RSA: "sha256WithRSAEncryption",
-    COMMON_NAME: "commonName",
-    COUNTRY: "countryName",
-    LOCALITY: "localityName",
-    STATE: "stateOrProvinceName",
-    ORGANIZATION: "organizationName",
-    ORG_UNIT: "organizationalUnitName",
-    SUBJECT_ALT_NAME: "subjectAltName",
-    BASIC_CONSTRAINTS: "basicConstraints",
-    KEY_USAGE: "keyUsage",
-    EXT_KEY_USAGE: "extendedKeyUsage",
-    SUBJECT_KEY_ID: "subjectKeyIdentifier",
-    AUTHORITY_KEY_ID: "authorityKeyIdentifier",
-    SERVER_AUTH: "serverAuth",
-    CLIENT_AUTH: "clientAuth",
-}
-
-OID_VALUES: dict[str, str] = {name: oid for oid, name in OID_NAMES.items()}
-
 # Map signature OIDs to the hash function they embed; this is exactly
 # the lookup the paper's Figure 4 relies on.
 SIGNATURE_HASHES: dict[str, str] = {
@@ -65,8 +42,3 @@ SIGNATURE_HASHES: dict[str, str] = {
 }
 
 HASH_SIGNATURE_OIDS: dict[str, str] = {h: oid for oid, h in SIGNATURE_HASHES.items()}
-
-
-def oid_name(dotted: str) -> str:
-    """Return the friendly name for an OID, or the dotted form itself."""
-    return OID_NAMES.get(dotted, dotted)

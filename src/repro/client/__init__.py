@@ -3,7 +3,7 @@
 Implements the exact grab sequence the paper's zgrab2 module performs:
 Hello/Acknowledge, GetEndpoints, OpenSecureChannel (presenting a
 self-signed certificate on secure policies), CreateSession /
-ActivateSession, and address-space access via Browse/Read/Call.
+ActivateSession, and address-space access via Browse/Read.
 """
 
 from repro.client.errors import (

@@ -49,9 +49,12 @@ from repro.uabin.types_channel import (
     CloseSecureChannelRequest,
     OpenSecureChannelRequest,
 )
-from repro.uabin.types_common import ApplicationDescription, SignatureData
+from repro.uabin.types_common import (
+    ApplicationDescription,
+    ServiceFault,
+    SignatureData,
+)
 from repro.uabin.types_discovery import FindServersRequest, GetEndpointsRequest
-from repro.uabin.types_method import CallMethodRequest, CallRequest, ServiceFault
 from repro.uabin.types_session import (
     ActivateSessionRequest,
     AnonymousIdentityToken,
@@ -153,6 +156,14 @@ class UaClient:
 
     def _expect(self, expected_type: MessageType):
         header, body = self._read_frame()
+        if header.chunk_type != "F":
+            # Every message this stack exchanges is one final chunk; a
+            # C or A chunk holds only part of one, or an abort.
+            raise UaClientError(
+                f"{header.message_type.value} reply in a non-final chunk "
+                f"({header.chunk_type!r}); multi-chunk messages are not "
+                "supported"
+            )
         if header.message_type == MessageType.ERROR:
             error = self._decode(ErrorMessage.decode_body, body)
             raise TransportRejectedError(
@@ -336,64 +347,6 @@ class UaClient:
         return self.read_attributes(
             [(node_id, AttributeId.VALUE) for node_id in node_ids]
         )
-
-    def translate_browse_path(self, starting_node: NodeId, *browse_names):
-        """Resolve a browse path of (namespace, name) pairs to a NodeId.
-
-        Returns the target NodeId, or None when the path cannot be
-        resolved.
-        """
-        from repro.uabin.builtin import QualifiedName
-        from repro.uabin.types_query import (
-            BrowsePath,
-            RelativePath,
-            RelativePathElement,
-            TranslateBrowsePathsRequest,
-        )
-
-        elements = [
-            RelativePathElement(
-                target_name=QualifiedName(namespace, name)
-            )
-            for namespace, name in browse_names
-        ]
-        request = TranslateBrowsePathsRequest(
-            request_header=self._request_header(),
-            browse_paths=[
-                BrowsePath(
-                    starting_node=starting_node,
-                    relative_path=RelativePath(elements=elements),
-                )
-            ],
-        )
-        results = self._invoke(request).results or []
-        if not results or not results[0].status_code.is_good:
-            return None
-        targets = results[0].targets or []
-        return targets[0].target_id.node_id if targets else None
-
-    def register_server(self, registered_server):
-        """Announce a server to a discovery server (RegisterServer)."""
-        from repro.uabin.types_query import RegisterServerRequest
-
-        request = RegisterServerRequest(
-            request_header=self._request_header(), server=registered_server
-        )
-        return self._invoke(request)
-
-    def call_method(self, object_id: NodeId, method_id: NodeId, arguments=None):
-        request = CallRequest(
-            request_header=self._request_header(),
-            methods_to_call=[
-                CallMethodRequest(
-                    object_id=object_id,
-                    method_id=method_id,
-                    input_arguments=arguments or [],
-                )
-            ],
-        )
-        results = self._invoke(request).results or []
-        return results[0] if results else None
 
     def close(self):
         """Send CloseSecureChannel; the server does not respond."""

@@ -16,7 +16,6 @@ from repro.deployments.manufacturers import (
 from repro.deployments.profiles import (
     CERT_CLASSES,
     CertClass,
-    MODE_SETS_BY_GROUP,
     POLICY_GROUPS,
     PolicyGroup,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "CertClass",
     "KeyFactory",
     "MANUFACTURERS",
-    "MODE_SETS_BY_GROUP",
     "Manufacturer",
     "PAPER_TOTALS",
     "POLICY_GROUPS",

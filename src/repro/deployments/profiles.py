@@ -1,4 +1,4 @@
-"""Configuration archetypes: policy groups, mode sets, certificate classes.
+"""Configuration archetypes: policy groups and certificate classes.
 
 The policy groups are the exact solution of the paper's Figure 3
 marginals (supported / least-secure / most-secure counts per security
@@ -36,11 +36,6 @@ from repro.secure.policies import (
     POLICY_NONE,
     SecurityPolicy,
 )
-from repro.uabin.enums import MessageSecurityMode
-
-N = MessageSecurityMode.NONE
-S = MessageSecurityMode.SIGN
-SE = MessageSecurityMode.SIGN_AND_ENCRYPT
 
 
 @dataclass(frozen=True)
@@ -50,10 +45,6 @@ class PolicyGroup:
     key: str
     policies: tuple[SecurityPolicy, ...]
     target_count: int
-
-    @property
-    def has_none(self) -> bool:
-        return POLICY_NONE in self.policies
 
 
 POLICY_GROUPS: dict[str, PolicyGroup] = {
@@ -105,23 +96,6 @@ POLICY_GROUPS: dict[str, PolicyGroup] = {
         PolicyGroup("Q2", (POLICY_BASIC256, POLICY_BASIC256SHA256), 50),
         PolicyGroup("Q3", (POLICY_BASIC256SHA256,), 16),
     )
-}
-
-# Mode sets per policy group, solving Figure 3's mode marginals:
-# supported N=1035/S=588/S&E=843; least 1035/28/51; most 270/1/843.
-# Groups with several mode sets list (mode_set, count) splits.
-MODE_SETS_BY_GROUP: dict[str, tuple[tuple[tuple[MessageSecurityMode, ...], int], ...]] = {
-    "PA": (((N,), 270),),
-    "P1": (((N, SE), 24),),
-    "P2": (((N, SE), 118), ((N, S, SE), 125)),
-    "P3": (((N, SE), 13),),
-    "P4": (((N, S, SE), 425),),
-    "P4s1": (((N, S, SE), 10),),
-    "P6": (((N, SE), 42),),
-    "P8": (((N, SE), 8),),
-    "Q1": (((SE,), 13),),
-    "Q2": (((SE,), 38), ((S, SE), 11), ((S,), 1)),
-    "Q3": (((S, SE), 16),),
 }
 
 

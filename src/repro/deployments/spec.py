@@ -354,9 +354,6 @@ class PopulationSpec:
         """Hosts with at least one configuration deficit (paper: 92 %)."""
         return self.count_where(spec_row_is_deficient)
 
-    def manufacturer_count(self, name: str) -> int:
-        return self.count_where(lambda r: r.manufacturer == name)
-
     def reuse_group_size(self, group: str) -> int:
         return self.count_where(lambda r: r.reuse_group == group)
 

@@ -53,9 +53,6 @@ class AsRegistry:
     def __len__(self) -> int:
         return len(self._systems)
 
-    def all_systems(self) -> list[AutonomousSystem]:
-        return list(self._systems.values())
-
     def get(self, asn: int) -> AutonomousSystem:
         try:
             return self._systems[asn]

@@ -67,7 +67,7 @@ from repro.transport.socket_io import (
     connect_blocking,
 )
 from repro.transport.messages import TransportTimeout
-from repro.util.ipaddr import format_endpoint_host, parse_ipv4
+from repro.util.ipaddr import format_endpoint_host, parse_decimal, parse_ipv4
 from repro.util.rng import DeterministicRng
 from repro.util.simtime import format_utc
 
@@ -384,7 +384,7 @@ def parse_target_line(line: str, default_port: int = OPCUA_PORT):
     port = default_port
     if port_text:
         try:
-            port = int(port_text)
+            port = parse_decimal(port_text)
         except ValueError:
             raise ValueError(f"target {text!r} has a malformed port") from None
         if not 0 < port < 65536:
@@ -672,7 +672,7 @@ def parse_endpoint_url(url: str | None) -> tuple[int, int] | None:
     if not port_text:
         return address, OPCUA_PORT
     try:
-        port = int(port_text)
+        port = parse_decimal(port_text)
     except ValueError:
         return None
     if not 0 < port < 65536:

@@ -3,7 +3,8 @@
 Serves the binary protocol end to end: transport handshake, secure
 channels under any of the six security policies, sessions with the
 four authentication token types, per-node access control, and the
-discovery / session / view / attribute / method service sets.
+seven services the scanner sends: GetEndpoints, FindServers,
+CreateSession, ActivateSession, CloseSession, Browse and Read.
 
 Deliberately configurable into *insecure* shapes: the deployment
 generator uses these knobs (None-only endpoints, deprecated policies,

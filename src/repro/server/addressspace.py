@@ -9,7 +9,7 @@ example-application namespaces indicate test systems.
 from __future__ import annotations
 
 
-from repro.server.nodes import MethodNode, Node, ObjectNode, Reference, VariableNode
+from repro.server.nodes import MethodNode, Node, ObjectNode, VariableNode
 from repro.uabin.builtin import LocalizedText, QualifiedName
 from repro.uabin.nodeid import NodeId
 from repro.uabin.variant import Variant, VariantType
@@ -102,17 +102,11 @@ class AddressSpace:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def all_nodes(self):
-        return iter(self._nodes.values())
-
     def variables(self):
         return (n for n in self._nodes.values() if isinstance(n, VariableNode))
 
     def methods(self):
         return (n for n in self._nodes.values() if isinstance(n, MethodNode))
-
-    def forward_references(self, node_id: NodeId) -> list[Reference]:
-        return [r for r in self.get(node_id).references if r.is_forward]
 
     # --- standard nodes -------------------------------------------------------
 

@@ -45,17 +45,20 @@ from repro.uabin.nodeid import ExpandedNodeId
 from repro.uabin.registry import decode_extension_object
 from repro.uabin.statuscodes import StatusCode, StatusCodes
 from repro.uabin.structs import DecodingError, ResponseHeader
-from repro.uabin.types_attribute import ReadResponse, WriteResponse
+from repro.uabin.types_attribute import ReadResponse
 from repro.uabin.types_channel import (
     ChannelSecurityToken,
     OpenSecureChannelResponse,
 )
-from repro.uabin.types_common import ApplicationDescription, SignatureData
+from repro.uabin.types_common import (
+    ApplicationDescription,
+    ServiceFault,
+    SignatureData,
+)
 from repro.uabin.types_discovery import (
     FindServersResponse,
     GetEndpointsResponse,
 )
-from repro.uabin.types_method import CallMethodResult, CallResponse, ServiceFault
 from repro.uabin.types_session import (
     ActivateSessionResponse,
     CloseSessionResponse,
@@ -84,8 +87,8 @@ class ServerBehavior:
       counted under "Authentication" rejections in Table 2).
     * ``fault_data_services`` models honeypot-like responders: the
       session dance completes, but every session-bound service call
-      (Read, Browse, Write, Call, …) faults — the host advertises
-      everything and serves nothing.
+      (Browse and Read) faults — the host advertises everything and
+      serves nothing.
     """
 
     reject_untrusted_client_certs: bool = False
@@ -150,8 +153,6 @@ class UaServer:
         self._rng = rng
         self.sessions = SessionManager(rng)
         self._next_channel_id = 1
-        # Discovery servers: server-uri -> RegisteredServer announcements.
-        self.registered_servers: dict[str, object] = {}
 
     # --- connection factory ---------------------------------------------------
 
@@ -226,23 +227,6 @@ class UaServer:
             if description.application_uri not in seen:
                 seen.add(description.application_uri)
                 unique.append(description)
-        for registered in self.registered_servers.values():
-            if registered.server_uri in seen:
-                continue
-            seen.add(registered.server_uri)
-            unique.append(
-                ApplicationDescription(
-                    application_uri=registered.server_uri,
-                    product_uri=registered.product_uri,
-                    application_name=(
-                        registered.server_names[0]
-                        if registered.server_names
-                        else LocalizedText(registered.server_uri)
-                    ),
-                    application_type=registered.server_type,
-                    discovery_urls=list(registered.discovery_urls or []),
-                )
-            )
         return FindServersResponse(
             response_header=self._ok_header(request), servers=unique
         )
@@ -369,19 +353,6 @@ class UaServer:
             response_header=self._ok_header(request), results=results
         )
 
-    def handle_browse_next(self, session, request, channel):
-        # All browse results are returned in one batch, so continuation
-        # points never exist; answer each with BadContinuationPointInvalid.
-        results = [
-            BrowseResult(status_code=StatusCode(0x804A0000))
-            for _ in request.continuation_points or []
-        ]
-        from repro.uabin.types_view import BrowseNextResponse
-
-        return BrowseNextResponse(
-            response_header=self._ok_header(request), results=results
-        )
-
     def _browse_one(self, description) -> BrowseResult:
         space = self.config.address_space
         node = space.get_or_none(description.node_id)
@@ -479,117 +450,6 @@ class UaServer:
                 status=StatusCodes.Good,
             )
         return DataValue(status=StatusCodes.BadAttributeIdInvalid)
-
-    def handle_write(self, session, request, channel):
-        role = session.role
-        results = []
-        for write in request.nodes_to_write or []:
-            results.append(self._write_attribute(write, role))
-        return WriteResponse(
-            response_header=self._ok_header(request), results=results
-        )
-
-    def _write_attribute(self, write, role: Role) -> StatusCode:
-        space = self.config.address_space
-        node = space.get_or_none(write.node_id)
-        if node is None:
-            return StatusCodes.BadNodeIdUnknown
-        if write.attribute_id != AttributeId.VALUE:
-            return StatusCodes.BadNotWritable
-        if not isinstance(node, VariableNode):
-            return StatusCodes.BadNotWritable
-        if not node.permissions.allows_write(role):
-            return StatusCodes.BadUserAccessDenied
-        if write.value.value is not None:
-            node.value = write.value.value
-        return StatusCodes.Good
-
-    def handle_call(self, session, request, channel):
-        role = session.role
-        results = []
-        for call in request.methods_to_call or []:
-            results.append(self._call_method(call, role, session))
-        return CallResponse(
-            response_header=self._ok_header(request), results=results
-        )
-
-    def _call_method(self, call, role: Role, session) -> CallMethodResult:
-        space = self.config.address_space
-        node = space.get_or_none(call.method_id)
-        if node is None or not isinstance(node, MethodNode):
-            return CallMethodResult(status_code=StatusCodes.BadMethodInvalid)
-        if not node.permissions.allows_execute(role):
-            return CallMethodResult(status_code=StatusCodes.BadUserAccessDenied)
-        outputs = []
-        if callable(node.handler):
-            outputs = node.handler(session, call.input_arguments or [])
-        return CallMethodResult(
-            status_code=StatusCodes.Good, output_arguments=outputs
-        )
-
-    def handle_translate_browse_paths(self, session, request, channel):
-        from repro.uabin.types_query import (
-            BrowsePathResult,
-            BrowsePathTarget,
-            TranslateBrowsePathsResponse,
-        )
-
-        results = []
-        for path in request.browse_paths or []:
-            results.append(self._translate_one(path))
-        return TranslateBrowsePathsResponse(
-            response_header=self._ok_header(request), results=results
-        )
-
-    def _translate_one(self, path):
-        from repro.uabin.nodeid import ExpandedNodeId
-        from repro.uabin.types_query import BrowsePathResult, BrowsePathTarget
-
-        space = self.config.address_space
-        current = space.get_or_none(path.starting_node)
-        if current is None:
-            return BrowsePathResult(status_code=StatusCodes.BadNodeIdUnknown)
-        elements = (path.relative_path.elements or []) if path.relative_path else []
-        if not elements:
-            return BrowsePathResult(status_code=StatusCodes.BadNothingToDo)
-        for element in elements:
-            target_name = element.target_name
-            next_node = None
-            for reference in current.references:
-                if reference.is_forward == element.is_inverse:
-                    continue
-                candidate = space.get_or_none(reference.target)
-                if candidate is None:
-                    continue
-                if (
-                    candidate.browse_name.name == target_name.name
-                    and candidate.browse_name.namespace_index
-                    == target_name.namespace_index
-                ):
-                    next_node = candidate
-                    break
-            if next_node is None:
-                return BrowsePathResult(status_code=StatusCodes.BadNotFound)
-            current = next_node
-        return BrowsePathResult(
-            status_code=StatusCodes.Good,
-            targets=[BrowsePathTarget(target_id=ExpandedNodeId(current.node_id))],
-        )
-
-    def handle_register_server(self, session, request, channel):
-        """RegisterServer: only discovery servers accept registrations."""
-        from repro.uabin.types_query import RegisterServerResponse
-
-        if not self.config.is_discovery_server:
-            raise _Fault(StatusCodes.BadServiceUnsupported)
-        registered = request.server
-        if not registered.server_uri or not registered.discovery_urls:
-            raise _Fault(StatusCodes.BadInvalidArgument)
-        if registered.is_online:
-            self.registered_servers[registered.server_uri] = registered
-        else:
-            self.registered_servers.pop(registered.server_uri, None)
-        return RegisterServerResponse(response_header=self._ok_header(request))
 
     # --- helpers ------------------------------------------------------------
 

@@ -79,10 +79,10 @@ class VariableNode(Node):
 
 @dataclass
 class MethodNode(Node):
-    """A callable node; the study's execute analysis target."""
+    """A method node; the study's execute analysis target (its
+    executable attributes are read, the method is never called)."""
 
     permissions: Permissions = field(default_factory=Permissions)
-    handler: object = None  # callable(session, input_args) -> list[Variant]
 
     def __post_init__(self):
         self.node_class = NodeClass.METHOD

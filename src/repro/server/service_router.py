@@ -2,30 +2,24 @@
 
 Separating the routing table from the engine keeps the engine's
 handlers individually testable and makes the supported service surface
-explicit.
+explicit: exactly the seven services the scanner sends.
 """
 
 from __future__ import annotations
 
-from repro.uabin.types_attribute import ReadRequest, WriteRequest
+from repro.uabin.types_attribute import ReadRequest
 from repro.uabin.types_discovery import FindServersRequest, GetEndpointsRequest
-from repro.uabin.types_method import CallRequest
-from repro.uabin.types_query import (
-    RegisterServerRequest,
-    TranslateBrowsePathsRequest,
-)
 from repro.uabin.types_session import (
     ActivateSessionRequest,
     CloseSessionRequest,
     CreateSessionRequest,
 )
-from repro.uabin.types_view import BrowseNextRequest, BrowseRequest
+from repro.uabin.types_view import BrowseRequest
 
 # Requests that may be served without an activated session.
 SESSIONLESS_REQUESTS = (
     GetEndpointsRequest,
     FindServersRequest,
-    RegisterServerRequest,
     CreateSessionRequest,
     ActivateSessionRequest,
     CloseSessionRequest,
@@ -34,16 +28,11 @@ SESSIONLESS_REQUESTS = (
 HANDLER_NAMES = {
     GetEndpointsRequest: "handle_get_endpoints",
     FindServersRequest: "handle_find_servers",
-    RegisterServerRequest: "handle_register_server",
     CreateSessionRequest: "handle_create_session",
     ActivateSessionRequest: "handle_activate_session",
     CloseSessionRequest: "handle_close_session",
     BrowseRequest: "handle_browse",
-    BrowseNextRequest: "handle_browse_next",
     ReadRequest: "handle_read",
-    WriteRequest: "handle_write",
-    CallRequest: "handle_call",
-    TranslateBrowsePathsRequest: "handle_translate_browse_paths",
 }
 
 

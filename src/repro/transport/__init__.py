@@ -1,9 +1,12 @@
-"""OPC UA TCP transport (OPC 10000-6 §7): message framing and chunking.
+"""OPC UA TCP transport (OPC 10000-6 §7): message framing.
 
 The binary interface on TCP/4840 frames every message with a 3-letter
 type, a chunk marker, and a length; connections start with a
-Hello/Acknowledge exchange.  This layer is deliberately independent of
-the secure-channel crypto — it moves opaque chunks.
+Hello/Acknowledge exchange.  Every message this stack sends travels as
+one final (``F``) chunk, and the client refuses a reply in a
+non-final (``C``) or abort (``A``) chunk rather than decode part of a
+message.  This layer is deliberately independent of the
+secure-channel crypto — it moves opaque frames.
 """
 
 from repro.transport.messages import (
@@ -14,11 +17,6 @@ from repro.transport.messages import (
     MessageType,
     TransportError,
     TransportTimeout,
-)
-from repro.transport.chunks import (
-    ChunkAssembler,
-    ChunkType,
-    split_into_chunks,
 )
 from repro.transport.connection import FrameReader, encode_frame
 from repro.transport.socket_io import (
@@ -51,8 +49,6 @@ __all__ = [
     "CaptureNetwork",
     "CaptureRecorder",
     "CaptureTransport",
-    "ChunkAssembler",
-    "ChunkType",
     "ErrorMessage",
     "FrameReader",
     "HelloMessage",
@@ -71,6 +67,5 @@ __all__ = [
     "connect_blocking",
     "encode_frame",
     "read_corpus",
-    "split_into_chunks",
     "write_corpus",
 ]

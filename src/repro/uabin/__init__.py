@@ -2,16 +2,17 @@
 
 Implements the subset of the OPC UA type system the study exercises:
 all 25 built-in types, the six NodeId encodings, variants/data values,
-and the service structures for discovery, secure-channel, session,
-browse, read, and call services.  Structures use a small declarative
-codec (``_fields_`` tables) so every message is defined in one place.
+and the service structures for the secure channel and the seven
+services the scanner sends (GetEndpoints, FindServers, CreateSession,
+ActivateSession, CloseSession, Browse and Read).  Structures use a
+small declarative codec (``_fields_`` tables) so every message is
+defined in one place.
 """
 
 from repro.uabin.enums import (
     ApplicationType,
     AttributeId,
     BrowseDirection,
-    BrowseResultMask,
     MessageSecurityMode,
     NodeClass,
     SecurityTokenRequestType,
@@ -21,26 +22,18 @@ from repro.uabin.enums import (
 from repro.uabin.nodeid import ExpandedNodeId, NodeId
 from repro.uabin.statuscodes import StatusCode, StatusCodes
 from repro.uabin.variant import DataValue, Variant, VariantType
-from repro.uabin.structs import (
-    DecodingError,
-    ExtensionObject,
-    UaStruct,
-    decode_struct,
-    encode_struct,
-)
+from repro.uabin.structs import DecodingError, ExtensionObject, UaStruct
 from repro.uabin.registry import (
     decode_extension_object,
     encode_body_nodeid,
     lookup_struct,
     make_extension_object,
-    register_struct,
 )
 
 __all__ = [
     "ApplicationType",
     "AttributeId",
     "BrowseDirection",
-    "BrowseResultMask",
     "DataValue",
     "DecodingError",
     "ExpandedNodeId",
@@ -57,10 +50,7 @@ __all__ = [
     "Variant",
     "VariantType",
     "decode_extension_object",
-    "decode_struct",
     "encode_body_nodeid",
-    "encode_struct",
     "lookup_struct",
     "make_extension_object",
-    "register_struct",
 ]

@@ -86,17 +86,6 @@ class BrowseDirection(enum.IntEnum):
     BOTH = 2
 
 
-class BrowseResultMask(enum.IntFlag):
-    NONE = 0
-    REFERENCE_TYPE_ID = 1
-    IS_FORWARD = 2
-    NODE_CLASS = 4
-    BROWSE_NAME = 8
-    DISPLAY_NAME = 16
-    TYPE_DEFINITION = 32
-    ALL = 63
-
-
 class TimestampsToReturn(enum.IntEnum):
     SOURCE = 0
     SERVER = 1

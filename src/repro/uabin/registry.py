@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from repro.uabin.nodeid import NodeId
 from repro.uabin.structs import DecodingError, ExtensionObject, UaStruct
-from repro.uabin import types_attribute, types_channel, types_discovery
-from repro.uabin import types_method, types_query, types_session, types_view
+from repro.uabin import types_attribute, types_channel, types_common
+from repro.uabin import types_discovery, types_session, types_view
 
 # Binary-encoding NodeIds from the standard NodeSet (OPC 10000-6 Annex).
 BINARY_ENCODING_IDS: dict[type[UaStruct], int] = {
-    types_method.ServiceFault: 397,
+    types_common.ServiceFault: 397,
     types_discovery.FindServersRequest: 422,
     types_discovery.FindServersResponse: 425,
     types_discovery.GetEndpointsRequest: 428,
@@ -31,33 +31,17 @@ BINARY_ENCODING_IDS: dict[type[UaStruct], int] = {
     types_session.CloseSessionResponse: 476,
     types_view.BrowseRequest: 527,
     types_view.BrowseResponse: 530,
-    types_view.BrowseNextRequest: 533,
-    types_view.BrowseNextResponse: 536,
     types_attribute.ReadRequest: 631,
     types_attribute.ReadResponse: 634,
-    types_attribute.WriteRequest: 673,
-    types_attribute.WriteResponse: 676,
-    types_method.CallRequest: 712,
-    types_method.CallResponse: 715,
     types_session.AnonymousIdentityToken: 321,
     types_session.UserNameIdentityToken: 324,
     types_session.X509IdentityToken: 327,
     types_session.IssuedIdentityToken: 940,
-    types_query.TranslateBrowsePathsRequest: 552,
-    types_query.TranslateBrowsePathsResponse: 555,
-    types_query.RegisterServerRequest: 437,
-    types_query.RegisterServerResponse: 440,
 }
 
 _BY_ID: dict[int, type[UaStruct]] = {
     numeric: cls for cls, numeric in BINARY_ENCODING_IDS.items()
 }
-
-
-def register_struct(cls: type[UaStruct], numeric_id: int) -> None:
-    """Register an additional structure (used by tests/extensions)."""
-    BINARY_ENCODING_IDS[cls] = numeric_id
-    _BY_ID[numeric_id] = cls
 
 
 def encode_body_nodeid(cls: type[UaStruct]) -> NodeId:

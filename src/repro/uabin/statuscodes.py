@@ -20,10 +20,6 @@ class StatusCode:
         return (self.value >> 30) == 0
 
     @property
-    def is_uncertain(self) -> bool:
-        return (self.value >> 30) == 1
-
-    @property
     def is_bad(self) -> bool:
         return (self.value >> 30) == 2
 

@@ -199,14 +199,6 @@ class UaStruct:
         return value
 
 
-def encode_struct(value: UaStruct) -> bytes:
-    return value.to_bytes()
-
-
-def decode_struct(cls: type[UaStruct], data: bytes) -> UaStruct:
-    return cls.from_bytes(data)
-
-
 # --- request/response headers (used by every service) -----------------------
 
 

@@ -1,9 +1,8 @@
-"""Attribute service set: Read and Write.
+"""Attribute service set: Read.
 
 The scanner reads node attributes (value, access level, executable)
-during traversal; Write is implemented for protocol completeness and
-for the server's access-control tests — the study itself never writes
-(ethics, Appendix A of the paper).
+during traversal.  It never writes (ethics, Appendix A of the paper),
+so the Write service is not part of the stack.
 """
 
 from __future__ import annotations
@@ -56,44 +55,5 @@ class ReadResponse(UaStruct):
     _fields_ = [
         ("response_header", ResponseHeader),
         ("results", ("array", "datavalue")),
-        ("diagnostic_infos", ("array", "diagnosticinfo")),
-    ]
-
-
-@dataclass
-class WriteValue(UaStruct):
-    node_id: NodeId = field(default_factory=NodeId)
-    attribute_id: int = 13
-    index_range: str | None = None
-    value: DataValue = field(default_factory=DataValue)
-
-    _fields_ = [
-        ("node_id", "nodeid"),
-        ("attribute_id", "uint32"),
-        ("index_range", "string"),
-        ("value", "datavalue"),
-    ]
-
-
-@dataclass
-class WriteRequest(UaStruct):
-    request_header: RequestHeader = field(default_factory=RequestHeader)
-    nodes_to_write: list[WriteValue] | None = None
-
-    _fields_ = [
-        ("request_header", RequestHeader),
-        ("nodes_to_write", ("array", WriteValue)),
-    ]
-
-
-@dataclass
-class WriteResponse(UaStruct):
-    response_header: ResponseHeader = field(default_factory=ResponseHeader)
-    results: list | None = None
-    diagnostic_infos: list | None = None
-
-    _fields_ = [
-        ("response_header", ResponseHeader),
-        ("results", ("array", "statuscode")),
         ("diagnostic_infos", ("array", "diagnosticinfo")),
     ]

@@ -2,7 +2,8 @@
 
 ``EndpointDescription`` is the study's central observable: everything
 the paper's Figures 3 and 6 report is read off the endpoint lists that
-servers return from GetEndpoints.
+servers return from GetEndpoints.  ``ServiceFault`` is the reply any
+service may send instead of its own response.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 
 from repro.uabin.enums import ApplicationType, MessageSecurityMode, UserTokenType
 from repro.uabin.builtin import LocalizedText
-from repro.uabin.structs import UaStruct
+from repro.uabin.structs import ResponseHeader, UaStruct
 
 
 @dataclass
@@ -110,3 +111,12 @@ class SignedSoftwareCertificate(UaStruct):
         ("certificate_data", "bytestring"),
         ("signature", "bytestring"),
     ]
+
+
+@dataclass
+class ServiceFault(UaStruct):
+    """Generic failure response; the status lives in the header."""
+
+    response_header: ResponseHeader = field(default_factory=ResponseHeader)
+
+    _fields_ = [("response_header", ResponseHeader)]

@@ -1,7 +1,10 @@
-"""View service set: Browse and BrowseNext.
+"""View service set: Browse.
 
 The scanner's address-space traversal (paper §5.4, Figure 7) is a
-breadth-first walk driven by Browse requests.
+breadth-first walk driven by Browse requests.  Each request asks for
+every reference of a node at once (no per-node maximum), so the
+simulated servers never hand out continuation points and BrowseNext
+is not part of the stack.
 """
 
 from __future__ import annotations
@@ -99,32 +102,6 @@ class BrowseRequest(UaStruct):
 
 @dataclass
 class BrowseResponse(UaStruct):
-    response_header: ResponseHeader = field(default_factory=ResponseHeader)
-    results: list[BrowseResult] | None = None
-    diagnostic_infos: list | None = None
-
-    _fields_ = [
-        ("response_header", ResponseHeader),
-        ("results", ("array", BrowseResult)),
-        ("diagnostic_infos", ("array", "diagnosticinfo")),
-    ]
-
-
-@dataclass
-class BrowseNextRequest(UaStruct):
-    request_header: RequestHeader = field(default_factory=RequestHeader)
-    release_continuation_points: bool = False
-    continuation_points: list[bytes] | None = None
-
-    _fields_ = [
-        ("request_header", RequestHeader),
-        ("release_continuation_points", "boolean"),
-        ("continuation_points", ("array", "bytestring")),
-    ]
-
-
-@dataclass
-class BrowseNextResponse(UaStruct):
     response_header: ResponseHeader = field(default_factory=ResponseHeader)
     results: list[BrowseResult] | None = None
     diagnostic_infos: list | None = None

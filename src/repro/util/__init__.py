@@ -12,7 +12,6 @@ from repro.util.ipaddr import (
     format_endpoint_host,
     format_ipv4,
     format_ipv6,
-    ipv4_in_block,
     parse_ipv4,
     parse_ipv6,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "format_ipv4",
     "format_ipv6",
     "format_utc",
-    "ipv4_in_block",
     "parse_ipv4",
     "parse_ipv6",
     "parse_utc",

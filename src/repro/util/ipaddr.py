@@ -11,6 +11,18 @@ from dataclasses import dataclass
 MAX_IPV4 = 2**32 - 1
 
 
+def parse_decimal(text: str) -> int:
+    """``int(text)`` for a non-empty run of ASCII digits, else ValueError.
+
+    ``int`` alone also takes a sign, surrounding whitespace, ``_``
+    separators and non-ASCII digits (``"٤"``), none of which belongs in
+    an address, port or prefix length read from a file or a peer.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a decimal number: {text!r}")
+    return int(text)
+
+
 def parse_ipv4(text: str) -> int:
     """Parse dotted-quad notation into an integer address."""
     parts = text.split(".")
@@ -18,9 +30,10 @@ def parse_ipv4(text: str) -> int:
         raise ValueError(f"invalid IPv4 address: {text!r}")
     value = 0
     for part in parts:
-        if not part.isdigit():
-            raise ValueError(f"invalid IPv4 address: {text!r}")
-        octet = int(part)
+        try:
+            octet = parse_decimal(part)
+        except ValueError:
+            raise ValueError(f"invalid IPv4 address: {text!r}") from None
         if octet > 255 or (len(part) > 1 and part[0] == "0"):
             raise ValueError(f"invalid IPv4 address: {text!r}")
         value = (value << 8) | octet
@@ -120,7 +133,11 @@ class CidrBlock:
         addr, sep, plen = text.partition("/")
         if not sep:
             raise ValueError(f"missing prefix length in {text!r}")
-        return cls(parse_ipv4(addr), int(plen))
+        try:
+            prefix_len = parse_decimal(plen)
+        except ValueError:
+            raise ValueError(f"invalid prefix length in {text!r}") from None
+        return cls(parse_ipv4(addr), prefix_len)
 
     @property
     def mask(self) -> int:
@@ -150,8 +167,3 @@ class CidrBlock:
         if not 0 <= index < self.size:
             raise IndexError(f"index {index} outside {self}")
         return self.network + index
-
-
-def ipv4_in_block(address: int, block: CidrBlock) -> bool:
-    """Convenience predicate mirroring ``address in block``."""
-    return address in block

@@ -58,10 +58,6 @@ class CertificateBuilder:
         self._not_before = moment
         return self
 
-    def valid_until(self, moment: datetime) -> "CertificateBuilder":
-        self._not_after = moment
-        return self
-
     def valid_for_days(self, days: int) -> "CertificateBuilder":
         if self._not_before is None:
             raise ValueError("set valid_from before valid_for_days")

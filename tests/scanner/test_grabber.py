@@ -18,6 +18,7 @@ from repro.scanner.limits import TraversalBudget
 from repro.scanner.records import EndpointRecord, HostRecord
 from repro.secure.policies import POLICY_BASIC256SHA256, POLICY_NONE
 from repro.server import EndpointConfig, ServerBehavior
+from repro.server import engine, service_router
 from repro.transport.messages import TransportError
 from repro.uabin.enums import MessageSecurityMode, UserTokenType
 from repro.uabin.registry import encode_body_nodeid
@@ -239,6 +240,29 @@ class TestGrab:
         assert record.software_version == "3.10.1"
         assert "urn:repro:tests:demo" in record.namespaces
 
+    def test_full_grab_sends_every_served_request_type(
+        self, network, scanner_identity, scan_rng, monkeypatch
+    ):
+        """The server serves exactly the request types a full grab sends:
+        a handler the scanner never reaches is dead code."""
+        dispatched = set()
+
+        def recording_handler_for(server, request):
+            dispatched.add(type(request))
+            return service_router.handler_for(server, request)
+
+        monkeypatch.setattr(engine, "handler_for", recording_handler_for)
+        record = grab_host(
+            network,
+            parse_ipv4("10.0.0.1"),
+            4840,
+            scanner_identity,
+            scan_rng,
+            budget=TraversalBudget(),
+        )
+        assert record.session.success
+        assert dispatched == set(service_router.HANDLER_NAMES)
+
     def test_open_server_rights_counts(self, network, scanner_identity, scan_rng):
         record = grab_host(
             network, parse_ipv4("10.0.0.1"), 4840, scanner_identity, scan_rng
@@ -397,6 +421,13 @@ class TestEndpointUrlParsing:
             ("opc.tcp:///path", None),
             ("", None),
             ("opc.tcp://10.0.0.256:4840/", None),
+            # The port is ASCII digits only: no sign, space, underscore
+            # or other script's digits, all of which int() accepts.
+            ("opc.tcp://10.0.0.1:+4840/", None),
+            ("opc.tcp://10.0.0.1:4_840/", None),
+            ("opc.tcp://10.0.0.1: 4840/", None),
+            ("opc.tcp://10.0.0.1:\u0664\u0668\u0664\u0660/", None),
+            ("opc.tcp://10.0.0.\u0664:4840/", None),
         ],
     )
     def test_parse(self, url, expected):

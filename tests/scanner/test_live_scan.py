@@ -344,6 +344,10 @@ class TestTargetParsing:
             parse_target_line("10.0.0.1:0")
         with pytest.raises(ValueError):
             parse_target_line("10.0.0.1:notaport")
+        # int() takes all of these; a listed port is ASCII digits only.
+        for port in ("4_840", "+4840", " 4840", "\u0664\u0668\u0664\u0660"):
+            with pytest.raises(ValueError, match="malformed port"):
+                parse_target_line(f"10.0.0.1:{port}")
 
     def test_load_targets_dedupes_and_reports_line(self, tmp_path):
         listing = tmp_path / "targets.txt"

@@ -9,7 +9,6 @@ from repro.server import EndpointConfig
 from repro.transport.connection import encode_frame
 from repro.transport.messages import ErrorMessage, MessageType
 from repro.uabin.enums import MessageSecurityMode, UserTokenType
-from repro.uabin.nodeid import NodeId
 from repro.uabin.registry import encode_body_nodeid
 from repro.uabin.statuscodes import StatusCodes
 from repro.uabin.types_channel import OpenSecureChannelRequest
@@ -22,8 +21,6 @@ from tests.server.helpers import (
     cut_last_byte,
     secure_open,
 )
-
-DEMO_NS = 1
 
 
 @pytest.fixture()
@@ -143,73 +140,6 @@ class TestPerEndpointTokenOverride:
         client.create_session()
         response = client.activate_session()
         assert response.response_header.service_result.is_good
-
-
-class TestWriteService:
-    @pytest.fixture()
-    def active_client(self, erng, rsa_2048, rsa_1024):
-        server = build_server(erng, rsa_2048)
-        client = build_client(server, erng.substream("w"), rsa_1024)
-        client.hello()
-        client.open_secure_channel()
-        client.create_session()
-        client.activate_session()
-        return client
-
-    def _write(self, client, node_id, value):
-        from repro.uabin.types_attribute import WriteRequest, WriteValue
-        from repro.uabin.variant import DataValue, Variant, VariantType
-
-        request = WriteRequest(
-            request_header=client._request_header(),
-            nodes_to_write=[
-                WriteValue(
-                    node_id=node_id,
-                    value=DataValue(
-                        value=Variant(value, VariantType.DOUBLE)
-                    ),
-                )
-            ],
-        )
-        return client._invoke(request).results[0]
-
-    def test_anonymous_write_to_open_node(self, active_client):
-        status = self._write(
-            active_client, NodeId(DEMO_NS, "Plant/rSetFillLevel"), 55.0
-        )
-        assert status.is_good
-        values = active_client.read_values(
-            [NodeId(DEMO_NS, "Plant/rSetFillLevel")]
-        )
-        assert values[0].value.value == 55.0
-
-    def test_anonymous_write_denied_on_readonly_node(self, active_client):
-        status = self._write(
-            active_client, NodeId(DEMO_NS, "Plant/m3InflowPerHour"), 1.0
-        )
-        assert status == StatusCodes.BadUserAccessDenied
-
-    def test_write_unknown_node(self, active_client):
-        status = self._write(active_client, NodeId(9, 12345), 1.0)
-        assert status == StatusCodes.BadNodeIdUnknown
-
-
-class TestBrowseNext:
-    def test_continuation_points_invalid(self, erng, rsa_2048, rsa_1024):
-        from repro.uabin.types_view import BrowseNextRequest
-
-        server = build_server(erng, rsa_2048)
-        client = build_client(server, erng.substream("bn"), rsa_1024)
-        client.hello()
-        client.open_secure_channel()
-        client.create_session()
-        client.activate_session()
-        request = BrowseNextRequest(
-            request_header=client._request_header(),
-            continuation_points=[b"stale"],
-        )
-        response = client._invoke(request)
-        assert response.results[0].status_code.is_bad
 
 
 class TestMalformedTraffic:

@@ -1,8 +1,15 @@
 """End-to-end client ↔ server tests over the loopback stream."""
 
+import struct
+
 import pytest
 
-from repro.client import ServiceFaultError, TransportRejectedError
+from repro.client import (
+    ServiceFaultError,
+    TransportRejectedError,
+    UaClient,
+    UaClientError,
+)
 from repro.secure.policies import (
     ALL_POLICIES,
     POLICY_BASIC128RSA15,
@@ -11,6 +18,8 @@ from repro.secure.policies import (
 )
 from repro.server import EndpointConfig, ServerBehavior
 from repro.server.addressspace import NodeIds
+from repro.transport.connection import encode_frame
+from repro.transport.messages import MessageType
 from repro.uabin.enums import (
     AttributeId,
     MessageSecurityMode,
@@ -20,7 +29,12 @@ from repro.uabin.nodeid import NodeId
 from repro.uabin.statuscodes import StatusCodes
 from repro.util.rng import DeterministicRng
 
-from tests.server.helpers import build_client, build_server, secure_open
+from tests.server.helpers import (
+    LoopbackStream,
+    build_client,
+    build_server,
+    secure_open,
+)
 
 DEMO_NS = 1  # first registered namespace in the demo address space
 
@@ -318,20 +332,51 @@ class TestBrowseReadCall:
         )
         assert values[0].value.value is True
 
-    def test_call_allowed_method(self, active_client):
-        result = active_client.call_method(
-            NodeId(DEMO_NS, "Plant"), NodeId(DEMO_NS, "Plant/AddEndpoint")
-        )
-        assert result.status_code.is_good
-
-    def test_call_unknown_method(self, active_client):
-        result = active_client.call_method(
-            NodeId(DEMO_NS, "Plant"), NodeId(DEMO_NS, "Plant/Nope")
-        )
-        assert result.status_code == StatusCodes.BadMethodInvalid
-
     def test_read_bad_attribute(self, active_client):
         values = active_client.read_attributes(
             [(NodeId(DEMO_NS, "Plant/m3InflowPerHour"), AttributeId.EXECUTABLE)]
         )
         assert values[0].status == StatusCodes.BadAttributeIdInvalid
+
+
+class RechunkedReplies(LoopbackStream):
+    """Re-cuts each None-policy MSG reply into a valid C + F chunk pair,
+    each chunk with its own sequence header."""
+
+    def read(self) -> bytes:
+        data = super().read()
+        if data[:4] != b"MSGF":
+            return data
+        ids = data[8:16]  # secure channel id + token id
+        sequence, request_id = struct.unpack_from("<II", data, 16)
+        body = data[24:]
+        half = len(body) // 2
+        return encode_frame(
+            MessageType.MESSAGE,
+            "C",
+            ids + struct.pack("<II", sequence, request_id) + body[:half],
+        ) + encode_frame(
+            MessageType.MESSAGE,
+            "F",
+            ids + struct.pack("<II", sequence + 1, request_id) + body[half:],
+        )
+
+
+class TestChunkedReplies:
+    def test_multi_chunk_reply_refused_by_chunk_type(
+        self, server, irng, rsa_1024
+    ):
+        """Every message travels as one final chunk; a reply cut into
+        several is refused by name, not decoded from its first part."""
+        client = UaClient(
+            RechunkedReplies(server),
+            build_client(server, irng, rsa_1024).identity,
+            irng.substream("chunked"),
+            endpoint_url="opc.tcp://10.0.0.1:4840/",
+        )
+        client.hello()
+        client.open_secure_channel()
+        with pytest.raises(
+            UaClientError, match=r"MSG reply in a non-final chunk \('C'\)"
+        ):
+            client.get_endpoints()

@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.transport.chunks import ChunkAssembler, split_into_chunks
 from repro.transport.connection import FrameReader, encode_frame
 from repro.transport.messages import (
     HEADER_SIZE,
@@ -139,60 +138,3 @@ class TestFrameReader:
             pos += step
             received.extend(body for _, body in reader.drain_frames())
         assert received == bodies
-
-
-class TestChunking:
-    def test_empty_payload_single_final(self):
-        assert split_into_chunks(b"", 10) == [("F", b"")]
-
-    def test_exact_fit(self):
-        chunks = split_into_chunks(b"x" * 10, 10)
-        assert chunks == [("F", b"x" * 10)]
-
-    def test_split(self):
-        chunks = split_into_chunks(b"abcdefghij", 4)
-        assert chunks == [("C", b"abcd"), ("C", b"efgh"), ("F", b"ij")]
-
-    def test_invalid_chunk_body_size(self):
-        with pytest.raises(ValueError):
-            split_into_chunks(b"x", 0)
-
-    def test_assembler_round_trip(self):
-        payload = bytes(range(256)) * 10
-        assembler = ChunkAssembler()
-        result = None
-        for marker, body in split_into_chunks(payload, 100):
-            result = assembler.feed(marker, body)
-        assert result == payload
-        assert not assembler.pending
-
-    def test_abort_resets(self):
-        assembler = ChunkAssembler()
-        assembler.feed("C", b"partial")
-        assert assembler.pending
-        assert assembler.feed("A", b"") is None
-        assert not assembler.pending
-
-    def test_message_size_limit(self):
-        assembler = ChunkAssembler(max_message_size=10)
-        with pytest.raises(TransportError):
-            assembler.feed("C", b"x" * 11)
-
-    def test_chunk_count_limit(self):
-        assembler = ChunkAssembler(max_chunk_count=2)
-        assembler.feed("C", b"a")
-        assembler.feed("C", b"b")
-        with pytest.raises(TransportError):
-            assembler.feed("C", b"c")
-
-    def test_invalid_marker(self):
-        with pytest.raises(TransportError):
-            ChunkAssembler().feed("Z", b"")
-
-    @given(st.binary(min_size=1, max_size=2000), st.integers(1, 300))
-    def test_split_reassemble_property(self, payload, chunk_size):
-        assembler = ChunkAssembler()
-        result = None
-        for marker, body in split_into_chunks(payload, chunk_size):
-            result = assembler.feed(marker, body)
-        assert result == payload

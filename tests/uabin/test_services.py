@@ -26,9 +26,6 @@ from repro.uabin.types_attribute import (
     ReadRequest,
     ReadResponse,
     ReadValueId,
-    WriteRequest,
-    WriteResponse,
-    WriteValue,
 )
 from repro.uabin.types_channel import (
     ChannelSecurityToken,
@@ -39,6 +36,7 @@ from repro.uabin.types_channel import (
 from repro.uabin.types_common import (
     ApplicationDescription,
     EndpointDescription,
+    ServiceFault,
     UserTokenPolicy,
 )
 from repro.uabin.types_discovery import (
@@ -46,13 +44,6 @@ from repro.uabin.types_discovery import (
     FindServersResponse,
     GetEndpointsRequest,
     GetEndpointsResponse,
-)
-from repro.uabin.types_method import (
-    CallMethodRequest,
-    CallMethodResult,
-    CallRequest,
-    CallResponse,
-    ServiceFault,
 )
 from repro.uabin.types_session import (
     ActivateSessionRequest,
@@ -313,48 +304,8 @@ class TestAttributeServices:
             )
         )
 
-    def test_write_request(self):
-        round_trip(
-            WriteRequest(
-                nodes_to_write=[
-                    WriteValue(
-                        node_id=NodeId(2, "rSetFillLevel"),
-                        value=DataValue(value=Variant(80.0, VariantType.DOUBLE)),
-                    )
-                ]
-            )
-        )
-
-    def test_write_response(self):
-        round_trip(WriteResponse(results=[StatusCodes.BadNotWritable]))
-
 
 class TestMethodServices:
-    def test_call_request(self):
-        round_trip(
-            CallRequest(
-                methods_to_call=[
-                    CallMethodRequest(
-                        object_id=NodeId(2, "Server"),
-                        method_id=NodeId(2, "AddEndpoint"),
-                        input_arguments=[Variant("opc.tcp://x", VariantType.STRING)],
-                    )
-                ]
-            )
-        )
-
-    def test_call_response(self):
-        round_trip(
-            CallResponse(
-                results=[
-                    CallMethodResult(
-                        status_code=StatusCodes.Good,
-                        output_arguments=[Variant(1, VariantType.INT32)],
-                    )
-                ]
-            )
-        )
-
     def test_service_fault(self):
         fault = ServiceFault(
             response_header=ResponseHeader(

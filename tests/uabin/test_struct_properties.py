@@ -4,26 +4,23 @@ import string
 
 from hypothesis import given, settings, strategies as st
 
-from repro.uabin.builtin import LocalizedText
+from repro.uabin.builtin import LocalizedText, QualifiedName
 from repro.uabin.enums import (
     ApplicationType,
     MessageSecurityMode,
     UserTokenType,
 )
-from repro.uabin.nodeid import NodeId
 from repro.uabin.types_common import (
     ApplicationDescription,
     EndpointDescription,
     UserTokenPolicy,
 )
 from repro.uabin.types_discovery import GetEndpointsResponse
-from repro.uabin.types_query import (
-    BrowsePath,
-    RelativePath,
-    RelativePathElement,
-    TranslateBrowsePathsRequest,
+from repro.uabin.types_view import (
+    BrowseResponse,
+    BrowseResult,
+    ReferenceDescription,
 )
-from repro.uabin.builtin import QualifiedName
 
 text_values = st.one_of(
     st.none(), st.text(alphabet=string.printable, max_size=40)
@@ -90,31 +87,25 @@ def test_get_endpoints_response_round_trip(endpoints):
     assert GetEndpointsResponse.from_bytes(message.to_bytes()) == message
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 10), st.text(max_size=20)), max_size=6
-    ),
-    st.integers(0, 0xFFFF),
+qualified_names = st.builds(
+    QualifiedName, st.integers(0, 0xFFFF), st.text(max_size=20)
 )
-def test_translate_request_round_trip(names, namespace):
-    request = TranslateBrowsePathsRequest(
-        browse_paths=[
-            BrowsePath(
-                starting_node=NodeId(0, 85),
-                relative_path=RelativePath(
-                    elements=[
-                        RelativePathElement(
-                            target_name=QualifiedName(ns, name)
-                        )
-                        for ns, name in names
-                    ]
-                ),
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(qualified_names, max_size=6), max_size=3))
+def test_browse_response_round_trip(browse_names):
+    response = BrowseResponse(
+        results=[
+            BrowseResult(
+                references=[
+                    ReferenceDescription(browse_name=name) for name in names
+                ]
             )
+            for names in browse_names
         ]
     )
-    decoded = TranslateBrowsePathsRequest.from_bytes(request.to_bytes())
-    assert decoded == request
+    assert BrowseResponse.from_bytes(response.to_bytes()) == response
 
 
 @settings(max_examples=60, deadline=None)

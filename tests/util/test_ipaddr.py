@@ -18,7 +18,20 @@ class TestParseFormat:
         assert format_ipv4(0x01020304) == "1.2.3.4"
 
     @pytest.mark.parametrize(
-        "bad", ["1.2.3", "1.2.3.4.5", "256.0.0.1", "a.b.c.d", "01.2.3.4", ""]
+        "bad",
+        [
+            "1.2.3",
+            "1.2.3.4.5",
+            "256.0.0.1",
+            "a.b.c.d",
+            "01.2.3.4",
+            "",
+            # int() takes all of these; an octet is ASCII digits only.
+            "1.2.3.\u0664",
+            "1.2.3.+4",
+            "1.2.3. 4",
+            "1.2.3.4_0",
+        ],
     )
     def test_parse_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
@@ -63,9 +76,24 @@ class TestCidrBlock:
         with pytest.raises(IndexError):
             block.address_at(256)
 
-    def test_missing_prefix_rejected(self):
-        with pytest.raises(ValueError):
-            CidrBlock.parse("10.0.0.0")
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "10.0.0.0",
+            "10.0.0.0/",
+            # int() takes all of these; a prefix length is ASCII digits only.
+            "10.0.0.0/ 8",
+            "10.0.0.0/8 ",
+            "10.0.0.0/+8",
+            "0.0.0.0/-0",
+            "10.0.0.0/\u0668",
+            "10.0.0.0/8_0",
+        ],
+    )
+    def test_missing_prefix_rejected(self, text):
+        with pytest.raises(ValueError) as excinfo:
+            CidrBlock.parse(text)
+        assert f"prefix length in {text!r}" in str(excinfo.value)
 
     def test_str(self):
         assert str(CidrBlock.parse("10.2.0.0/16")) == "10.2.0.0/16"
