@@ -184,9 +184,15 @@ class AnalysisReport:
     def digest(self) -> str:
         """SHA-256 over the canonical JSON — the backend-equivalence
         pin: serial, thread, and process pipelines must all match."""
+        return self.json_digest(self.to_json_dict())
+
+    @staticmethod
+    def json_digest(report_json: dict) -> str:
+        """:meth:`digest` of the report whose :meth:`to_json_dict` is
+        ``report_json`` — for callers that already built it."""
         from repro.core.golden import canonical_json
 
-        material = canonical_json(self.to_json_dict())
+        material = canonical_json(report_json)
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 

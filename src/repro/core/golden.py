@@ -6,7 +6,9 @@ and refactors.  This module pins that guarantee down to a hash:
 
 * :func:`snapshot_digest` — SHA-256 over one snapshot's canonical
   JSON (:meth:`~repro.scanner.records.MeasurementSnapshot.to_json_dict`
-  serialized with sorted keys and compact separators);
+  serialized with sorted keys and compact separators), hashed record
+  line by record line through :class:`SnapshotDigest`, the same frame
+  the study store hashes as it writes and reads those lines;
 * :func:`study_digests` / :func:`study_digest` — per-sweep digests and
   the digest of the whole sweep sequence;
 * :func:`tiny_spec` / :func:`tiny_study_config` / :func:`run_tiny_study`
@@ -68,10 +70,56 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+class SnapshotDigest:
+    """One snapshot's digest, fed its canonical record lines one by one.
+
+    ``canonical_json(snapshot.to_json_dict())`` is a frame: sorted keys
+    put the date and counters first and ``records`` last, so the text
+    is ``{"date":…,"excluded":…,"port_open":…,"probed":…,"records":[``,
+    then each record's ``canonical_json(record.to_json_dict())`` joined
+    by commas, then ``]}``.  Hashing the record lines as a writer emits
+    them, or as a reader reads them back, gives :func:`snapshot_digest`
+    without holding the text or re-encoding a record::
+
+        >>> snapshot = MeasurementSnapshot(date="2020-07-06", probed=3)
+        >>> SnapshotDigest(snapshot).hexdigest() == hashlib.sha256(
+        ...     canonical_json(snapshot.to_json_dict()).encode()
+        ... ).hexdigest()
+        True
+    """
+
+    def __init__(self, snapshot: MeasurementSnapshot):
+        """Open the frame on ``snapshot``'s date and counters; its
+        records are not read — pass their lines to :meth:`add`."""
+        head = canonical_json(
+            {
+                "date": snapshot.date,
+                "excluded": snapshot.excluded,
+                "port_open": snapshot.port_open,
+                "probed": snapshot.probed,
+                "records": [],
+            }
+        )
+        self._sha = hashlib.sha256(head[: -len("]}")].encode("utf-8"))
+        self._separator = b""
+
+    def add(self, line: str) -> None:
+        """Hash the next record line (no line terminator)."""
+        self._sha.update(self._separator)
+        self._sha.update(line.encode("utf-8"))
+        self._separator = b","
+
+    def hexdigest(self) -> str:
+        closed = self._sha.copy()
+        closed.update(b"]}")
+        return closed.hexdigest()
+
+
 def snapshot_digest(snapshot: MeasurementSnapshot) -> str:
-    return hashlib.sha256(
-        canonical_json(snapshot.to_json_dict()).encode("utf-8")
-    ).hexdigest()
+    digest = SnapshotDigest(snapshot)
+    for record in snapshot.records:
+        digest.add(canonical_json(record.to_json_dict()))
+    return digest.hexdigest()
 
 
 def sweep_digests(snapshots: list[MeasurementSnapshot]) -> dict[str, str]:

@@ -6,6 +6,13 @@ declares how many record lines follow, which lets the reader detect
 truncated files — a partially written dataset (interrupted run, bad
 copy) fails loudly instead of silently shrinking a sweep.
 
+Each record line is the record's canonical JSON
+(:func:`~repro.core.golden.canonical_json`: sorted keys, compact
+separators), and a snapshot's golden digest is a frame around exactly
+those lines (:class:`~repro.core.golden.SnapshotDigest`).  So the
+writer hashes the lines it writes and the reader the lines it reads:
+no record is encoded twice to store it, nor re-encoded to check it.
+
 Files whose name ends in ``.gz`` are transparently gzip-compressed on
 both ends.  :func:`iter_snapshots` is the streaming reader: it yields
 one fully populated snapshot at a time, so a consumer that only needs
@@ -29,6 +36,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, TextIO
 
+from repro.core.golden import SnapshotDigest, canonical_json
 from repro.scanner.records import HostRecord, MeasurementSnapshot
 
 
@@ -93,14 +101,21 @@ def iter_decompressed_lines(path: Path, handle: TextIO) -> Iterator[str]:
 
 def write_snapshots(
     path: str | Path, snapshots: list[MeasurementSnapshot]
-) -> None:
+) -> dict[str, str]:
+    """Write ``snapshots``; returns ``{sweep date: digest}``.
+
+    Each record is encoded once, to its canonical line, and the
+    returned digests are hashed from those same lines — they equal
+    :func:`~repro.core.golden.sweep_digests` of ``snapshots``.
+    """
     with canonical_open_write(path) as handle:
-        _write_lines(handle, snapshots)
+        return _write_lines(handle, snapshots)
 
 
 def _write_lines(
     handle: TextIO, snapshots: list[MeasurementSnapshot]
-) -> None:
+) -> dict[str, str]:
+    digests = {}
     for snapshot in snapshots:
         header = {
             "snapshot": snapshot.date,
@@ -110,11 +125,18 @@ def _write_lines(
             "records": len(snapshot.records),
         }
         handle.write(json.dumps(header) + "\n")
+        digest = SnapshotDigest(snapshot)
         for record in snapshot.records:
-            handle.write(json.dumps(record.to_json_dict()) + "\n")
+            line = canonical_json(record.to_json_dict())
+            handle.write(line + "\n")
+            digest.add(line)
+        digests[snapshot.date] = digest.hexdigest()
+    return digests
 
 
-def iter_snapshots(path: str | Path) -> Iterator[MeasurementSnapshot]:
+def iter_snapshots(
+    path: str | Path, digests: list[str] | None = None
+) -> Iterator[MeasurementSnapshot]:
     """Stream snapshots one at a time, validating record counts.
 
     Each snapshot is yielded only once all the record lines its header
@@ -124,9 +146,18 @@ def iter_snapshots(path: str | Path) -> Iterator[MeasurementSnapshot]:
     object, a header whose ``snapshot`` is not a string or whose
     ``records`` is not a non-negative integer, or a record that
     :meth:`HostRecord.from_json_dict` rejects.
+
+    Each record line's bytes are hashed in the same pass
+    (:class:`~repro.core.golden.SnapshotDigest`); when ``digests`` is
+    given, a snapshot's digest is appended to it just before the
+    snapshot is yielded.  It equals
+    :func:`~repro.core.golden.snapshot_digest` of that snapshot
+    exactly when every record line is in the canonical form
+    :func:`write_snapshots` writes.
     """
     path = Path(path)
     current: MeasurementSnapshot | None = None
+    digest: SnapshotDigest | None = None
     remaining = 0
     with canonical_open_read(path) as handle:
         for number, line in enumerate(
@@ -166,6 +197,8 @@ def iter_snapshots(path: str | Path) -> Iterator[MeasurementSnapshot]:
                         "precede the next header"
                     )
                 if current is not None:
+                    if digests is not None:
+                        digests.append(digest.hexdigest())
                     yield current
                 current = MeasurementSnapshot(
                     date=date,
@@ -173,6 +206,7 @@ def iter_snapshots(path: str | Path) -> Iterator[MeasurementSnapshot]:
                     port_open=data.get("port_open", 0),
                     excluded=data.get("excluded", 0),
                 )
+                digest = SnapshotDigest(current)
                 remaining = declared
             else:
                 if current is None:
@@ -192,6 +226,7 @@ def iter_snapshots(path: str | Path) -> Iterator[MeasurementSnapshot]:
                         f"{path}:{number}: not a host record: {exc}"
                     ) from None
                 current.records.append(record)
+                digest.add(line.rstrip("\n"))
                 remaining -= 1
     if remaining:
         raise DatasetFormatError(
@@ -200,6 +235,8 @@ def iter_snapshots(path: str | Path) -> Iterator[MeasurementSnapshot]:
             f"ends after {len(current.records)}"
         )
     if current is not None:
+        if digests is not None:
+            digests.append(digest.hexdigest())
         yield current
 
 

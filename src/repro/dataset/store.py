@@ -19,10 +19,13 @@ Entries are *content-addressed*: the key is a SHA-256 digest over
   instead of being misread.
 
 Each entry persists its golden digests (per-sweep and whole-study,
-the same SHA-256s ``tests/golden`` pins) in ``meta.json``, and
-:meth:`StudyStore.load` recomputes them from the decoded snapshots —
-a corrupted, hand-edited, or stale entry can never silently poison an
-analysis; it raises :class:`StoreIntegrityError` instead.
+the same SHA-256s ``tests/golden`` pins) in ``meta.json``.  The
+writer hashes them from the canonical record lines it writes, and
+:meth:`StudyStore.load` hashes the record lines it reads back in the
+pass that decodes them (:func:`~repro.dataset.io.iter_snapshots`) —
+a corrupted, hand-edited, re-serialised or stale entry can never
+silently poison an analysis; it raises :class:`StoreIntegrityError`
+instead.
 
 Layout::
 
@@ -71,12 +74,11 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.core.config import StudyConfig
-from repro.core.golden import (
-    canonical_json,
-    combined_digest,
-    snapshot_digest,
-    sweep_digests,
-)
+from repro.core.golden import canonical_json, combined_digest
+# Bound here for callers that look them up on this module (the traced
+# benchmark run wraps both); the store itself hashes the stored lines.
+from repro.core.golden import snapshot_digest as snapshot_digest
+from repro.core.golden import sweep_digests as sweep_digests
 from repro.dataset.io import (
     DatasetFormatError,
     iter_snapshots,
@@ -92,7 +94,10 @@ from repro.scanner.records import MeasurementSnapshot
 #: Version 2: the candidate stream lost its shuffle, which moves every
 #: index-mod shard slice, so no shard checkpoint of version 1 may be
 #: merged with one cut under the new order.
-SCHEMA_VERSION = 2
+#: Version 3: record lines are written in canonical JSON and loads
+#: hash their bytes, so a version-2 entry (``", "`` separators, keys
+#: in field order) would fail every digest; it is rescanned instead.
+SCHEMA_VERSION = 3
 
 #: Environment variable naming the default store directory.  Used by
 #: :func:`resolve_store` so CI and benchmarks opt whole process trees
@@ -284,6 +289,9 @@ class StudyStore:
     ) -> None:
         """Atomically (re-)write one entry: data first, meta last.
 
+        ``meta`` gains the ``digest`` and ``per_sweep`` fields, hashed
+        from the record lines as they are written.
+
         Re-saving over an existing entry retracts its ``meta.json``
         *before* touching the snapshot file — otherwise a crash
         mid-rewrite leaves a complete-looking entry whose bytes no
@@ -297,8 +305,13 @@ class StudyStore:
         entry.mkdir(parents=True, exist_ok=True)
         (entry / META_FILE).unlink(missing_ok=True)
         temp_snapshots = entry / (".tmp." + SNAPSHOT_FILE)
-        write_snapshots(temp_snapshots, snapshots)
+        per_sweep = write_snapshots(temp_snapshots, snapshots)
         os.replace(temp_snapshots, entry / SNAPSHOT_FILE)
+        meta = {
+            **meta,
+            "digest": combined_digest(per_sweep),
+            "per_sweep": per_sweep,
+        }
         temp_meta = entry / (META_FILE + ".tmp")
         temp_meta.write_text(json.dumps(meta, indent=2) + "\n")
         os.replace(temp_meta, entry / META_FILE)
@@ -317,7 +330,6 @@ class StudyStore:
         file.
         """
         key = study_key(config, spec)
-        per_sweep = sweep_digests(snapshots)
         meta = {
             "schema": SCHEMA_VERSION,
             "key": key,
@@ -329,8 +341,6 @@ class StudyStore:
             "spec_servers": spec.total_servers,
             "sweeps": len(snapshots),
             "records": sum(len(s.records) for s in snapshots),
-            "digest": combined_digest(per_sweep),
-            "per_sweep": per_sweep,
         }
         self._publish(self.entry_dir(key), snapshots, meta)
         return key
@@ -344,9 +354,10 @@ class StudyStore:
 
         ``None`` means "not stored" (including a schema-version
         mismatch, which by construction cannot produce this key).
-        Every decoded snapshot is re-hashed against the digests
-        recorded at save time; any drift — truncated file, stale
-        entry, hand edit, schema skew — raises
+        Every snapshot's stored record lines are hashed as they are
+        decoded and checked against the digests recorded at save
+        time; any drift — truncated file, stale entry, hand edit, a
+        line re-serialised to other bytes, schema skew — raises
         :class:`StoreIntegrityError`.
         """
         key = study_key(config, spec)
@@ -379,7 +390,8 @@ class StudyStore:
         expected_dates = list(expected)
         seen: dict[str, str] = {}
         path = entry / SNAPSHOT_FILE
-        snapshot_iter = iter_snapshots(path)
+        digests: list[str] = []
+        snapshot_iter = iter_snapshots(path, digests)
         while True:
             try:
                 snapshot = next(snapshot_iter)
@@ -403,12 +415,12 @@ class StudyStore:
                     f"{snapshot.date!r} at position {position} "
                     f"(expected {expected_dates[position:position + 1]})"
                 )
-            digest = snapshot_digest(snapshot)
+            digest = digests[-1]
             if digest != expected[snapshot.date]:
                 raise StoreIntegrityError(
                     f"{label}: sweep {snapshot.date} digest "
                     f"mismatch (stored {expected[snapshot.date][:12]}…, "
-                    f"recomputed {digest[:12]}…) — the entry is stale "
+                    f"hashed {digest[:12]}…) — the entry is stale "
                     "or corrupted; delete it and re-run the study"
                 )
             seen[snapshot.date] = digest
@@ -443,7 +455,6 @@ class StudyStore:
         complete-looking corrupt one.
         """
         key = study_key(config, spec)
-        per_sweep = sweep_digests(snapshots)
         meta = {
             "schema": SCHEMA_VERSION,
             "key": key,
@@ -451,8 +462,6 @@ class StudyStore:
             "shard_count": count,
             "sweeps": len(snapshots),
             "records": sum(len(s.records) for s in snapshots),
-            "digest": combined_digest(per_sweep),
-            "per_sweep": per_sweep,
         }
         self._publish(self.shard_dir(key, index, count), snapshots, meta)
         return key
@@ -466,11 +475,12 @@ class StudyStore:
     ) -> list[MeasurementSnapshot] | None:
         """Load and validate one shard checkpoint; ``None`` if absent.
 
-        Validation is identical to :meth:`load` — every snapshot is
-        re-hashed against the digests recorded at checkpoint time, and
-        the meta must claim exactly this ``(index, count)`` slot, so a
-        checkpoint mis-filed (or copied) across shard geometries can
-        never be resumed as the wrong slice.
+        Validation is identical to :meth:`load` — every snapshot's
+        stored lines are hashed against the digests recorded at
+        checkpoint time, and the meta must claim exactly this
+        ``(index, count)`` slot, so a checkpoint mis-filed (or copied)
+        across shard geometries can never be resumed as the wrong
+        slice.
         """
         key = study_key(config, spec)
         entry = self.shard_dir(key, index, count)

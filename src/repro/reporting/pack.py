@@ -149,14 +149,17 @@ def write_pack(
     out.mkdir(parents=True, exist_ok=True)
     (out / "tables").mkdir(exist_ok=True)
 
-    artifacts: dict[str, str] = {}
+    artifacts: dict[str, dict] = {}
 
     def write(name: str, text: str) -> None:
-        path = out / name
-        path.write_text(text)
-        artifacts[name] = _sha256_file(path)
+        data = text.encode("utf-8")
+        (out / name).write_bytes(data)
+        artifacts[name] = {
+            "sha256": hashlib.sha256(data).hexdigest(),
+            "bytes": len(data),
+        }
 
-    from repro.analysis.pipeline import jsonify
+    from repro.analysis.pipeline import AnalysisReport, jsonify
 
     write(
         "study.json",
@@ -168,14 +171,11 @@ def write_pack(
         )
         + "\n",
     )
+    report_json = report.to_json_dict()
+    analysis_digest = AnalysisReport.json_digest(report_json)
     write(
         "analysis.json",
-        canonical_json(
-            {
-                "report": report.to_json_dict(),
-                "digest": report.digest(),
-            }
-        )
+        canonical_json({"report": report_json, "digest": analysis_digest})
         + "\n",
     )
     write("summary.txt", render_analysis_report(report) + "\n")
@@ -205,15 +205,9 @@ def write_pack(
             "schema": PACK_SCHEMA,
             "study_key": key,
             "study_digest": info.digest,
-            "analysis_digest": report.digest(),
+            "analysis_digest": analysis_digest,
             "skipped_experiments": skipped,
-            "artifacts": {
-                name: {
-                    "sha256": digest,
-                    "bytes": (out / name).stat().st_size,
-                }
-                for name, digest in sorted(artifacts.items())
-            },
+            "artifacts": dict(sorted(artifacts.items())),
         }
     )
     (out / MANIFEST_FILE).write_text(json.dumps(manifest, indent=2) + "\n")

@@ -511,6 +511,21 @@ class ServerConnection:
             return self._error_frame(
                 StatusCodes.BadTcpMessageTypeInvalid, "expected HEL first"
             )
+        if (
+            header.message_type
+            in (MessageType.OPEN_CHANNEL, MessageType.MESSAGE)
+            and header.chunk_type != "F"
+        ):
+            # Every message this stack exchanges is one final chunk; a
+            # C chunk holds only part of a request and an A chunk
+            # aborts one, so neither may be decoded as a whole request.
+            self._closed = True
+            return self._error_frame(
+                StatusCodes.BadTcpMessageTypeInvalid,
+                f"{header.message_type.value} request in a non-final "
+                f"chunk ({header.chunk_type!r}); multi-chunk messages "
+                "are not supported",
+            )
         if header.message_type == MessageType.OPEN_CHANNEL:
             return self._handle_open(body)
         if header.message_type == MessageType.MESSAGE:

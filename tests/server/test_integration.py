@@ -362,6 +362,50 @@ class RechunkedReplies(LoopbackStream):
         )
 
 
+class RechunkedRequests(LoopbackStream):
+    """Re-marks each outgoing frame of one message type with another
+    chunk type, leaving every other byte as the client wrote it."""
+
+    def __init__(self, server, message_type: str, chunk_type: str):
+        super().__init__(server)
+        self._final = f"{message_type}F".encode()
+        self._chunk = chunk_type.encode()
+
+    def write(self, data: bytes) -> None:
+        if data[:4] == self._final:
+            data = data[:3] + self._chunk + data[4:]
+        super().write(data)
+
+
+class TestChunkedRequests:
+    @pytest.mark.parametrize(
+        "message_type, chunk_type",
+        [("MSG", "C"), ("MSG", "A"), ("OPN", "C"), ("OPN", "A")],
+    )
+    def test_non_final_request_chunk_refused_by_chunk_type(
+        self, server, irng, rsa_1024, message_type, chunk_type
+    ):
+        """The server twin of the client's rule: a request in an
+        intermediate or abort chunk earns an ERR frame naming the
+        chunk type and a closed connection, never a full reply."""
+        stream = RechunkedRequests(server, message_type, chunk_type)
+        client = UaClient(
+            stream,
+            build_client(server, irng, rsa_1024).identity,
+            irng.substream("chunked"),
+            endpoint_url="opc.tcp://10.0.0.1:4840/",
+        )
+        client.hello()
+        with pytest.raises(TransportRejectedError) as excinfo:
+            client.open_secure_channel()
+            client.get_endpoints()
+        assert excinfo.value.status == StatusCodes.BadTcpMessageTypeInvalid
+        assert excinfo.value.reason.startswith(
+            f"{message_type} request in a non-final chunk ('{chunk_type}')"
+        )
+        assert stream._connection.closed
+
+
 class TestChunkedReplies:
     def test_multi_chunk_reply_refused_by_chunk_type(
         self, server, irng, rsa_1024
